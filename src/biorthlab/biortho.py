@@ -11,11 +11,12 @@ the transposed unit upper factor, and the pivots are the norming constants.
 import json
 import os
 from dataclasses import dataclass, field
-from mpmath import mp, mpf, mpc, sqrt, log, exp, ln, pi, im, re, conj, polyroots
+from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
 
-from .mpnum import (PrecisionContext, RealInterval, NonConvergent,
+from .mpnum import (RealInterval, NonConvergent,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
-                    integrate_gauss_legendre, gauss_legendre_nodes)
+                    integrate_gauss_legendre, gauss_legendre_nodes,
+                    num_to_str)
 
 
 class NonPositiveMinor(Exception):
@@ -76,7 +77,8 @@ def _window(V, n, m, digits):
 
     The left tail is governed by j = 0 and the right tail by j = m; the
     m*log(1+|x|) term covers the polynomial factor.  Each side brackets the
-    target drop and bisects.
+    target drop and bisects.  Raises NonConvergent when an envelope peaks
+    at an end of the search box [-50, 50], so the true peak lies outside.
     """
     targ = (digits + 20) * ln(mpf(10))
 
@@ -91,6 +93,9 @@ def _window(V, n, m, digits):
             v = envelope(x, slope)
             if best is None or v > best:
                 best, x0 = v, x
+        if abs(x0) == 50:
+            raise NonConvergent("weight envelope peaks at x = %s, the end of "
+                                "the search box [-50, 50]" % x0)
         lo = x0
         hi = x0 + direction
         while envelope(hi, slope) > best - targ:
@@ -170,8 +175,8 @@ def _moment_rect(V, n, rows, cols, ctx):
         return M, RealInterval(xlo, xhi)
 
 
-def bimoments(V, n, m, ctx):
-    """Bimoment matrix M[i][j] = int x^i e^{jx} e^{-nV} dx, 0 <= i,j <= m."""
+def _factored_bimoments(V, n, m, ctx):
+    """The bimoment matrix, its window and its LDU, every pivot positive."""
     if not 1 <= n:
         raise ValueError("n must be a positive integer")
     if m > n + 8:
@@ -179,7 +184,7 @@ def bimoments(V, n, m, ctx):
     M, win = _moment_rect(V, n, m + 1, m + 1, ctx)
     with mp.workdps(ctx.digits + 10):
         try:
-            _, D, _ = ldu_bidiagonalize(M)
+            L, D, U = ldu_bidiagonalize(M)
         except SingularMinor as exc:
             raise NonPositiveMinor(
                 "minor %d underflowed; raise digits" % exc.k) from exc
@@ -188,6 +193,12 @@ def bimoments(V, n, m, ctx):
                 raise NonPositiveMinor(
                     "leading principal minor %d is not positive; "
                     "raise digits" % k)
+    return M, win, (L, D, U)
+
+
+def bimoments(V, n, m, ctx):
+    """Bimoment matrix M[i][j] = int x^i e^{jx} e^{-nV} dx, 0 <= i,j <= m."""
+    M, win, _ = _factored_bimoments(V, n, m, ctx)
     return BimomentMatrix(entries=tuple(tuple(r) for r in M), n=n, m=m,
                           support_window=win, digits=ctx.digits)
 
@@ -195,13 +206,11 @@ def bimoments(V, n, m, ctx):
 def construct(V, n, m, ctx):
     """Build the biorthogonal system of degrees 0..m for weight e^{-nV}.
 
-    SingularMinor from the factorization stage means the working precision
-    cannot resolve a pivot; retry with a larger ctx.digits.
+    NonPositiveMinor means the working precision cannot resolve a pivot;
+    retry with a larger ctx.digits.
     """
-    bm = bimoments(V, n, m, ctx)
+    _, win, (L, D, U) = _factored_bimoments(V, n, m, ctx)
     with mp.workdps(ctx.digits + 10):
-        M = [list(r) for r in bm.entries]
-        L, D, U = ldu_bidiagonalize(M)
         pc = invert_unit_lower(L)
         Ut = [[U[j][i] for j in range(len(U))] for i in range(len(U))]
         qc = invert_unit_lower(Ut)
@@ -209,7 +218,7 @@ def construct(V, n, m, ctx):
         n=n, m=m,
         p_coeffs=tuple(tuple(row[:j + 1]) for j, row in enumerate(pc)),
         q_coeffs=tuple(tuple(row[:j + 1]) for j, row in enumerate(qc)),
-        h=tuple(D), support_window=bm.support_window,
+        h=tuple(D), support_window=win,
         digits=ctx.digits, V=V)
 
 
@@ -310,25 +319,17 @@ def conjugated_pair(sys, eq_t, j, x, ctx):
 _SCHEMA_VERSION = 1
 
 
-def _dstr(v, digits):
-    # mpf(v) on an mpf would re-round to the ambient precision
-    if not isinstance(v, mp.mpf):
-        with mp.workdps(digits + 20):
-            v = mpf(v)
-    return mp.nstr(v, digits + 15, strip_zeros=True)
-
-
 def save_system(sys, path):
     digits = sys.digits
     doc = {
         "version": _SCHEMA_VERSION, "n": sys.n, "m": sys.m,
         "digits": digits,
-        "window": [_dstr(sys.support_window.lo, digits),
-                   _dstr(sys.support_window.hi, digits)],
-        "h": [_dstr(v, digits) for v in sys.h],
-        "p_coeffs": [[_dstr(c, digits) for c in row]
+        "window": [num_to_str(sys.support_window.lo, digits),
+                   num_to_str(sys.support_window.hi, digits)],
+        "h": [num_to_str(v, digits) for v in sys.h],
+        "p_coeffs": [[num_to_str(c, digits) for c in row]
                      for row in sys.p_coeffs],
-        "q_coeffs": [[_dstr(c, digits) for c in row]
+        "q_coeffs": [[num_to_str(c, digits) for c in row]
                      for row in sys.q_coeffs],
         "potential": list(sys.V.coeff_strings()),
     }

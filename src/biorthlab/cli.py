@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 invalid config, 3 numerics did not converge,
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -22,13 +21,13 @@ from dataclasses import dataclass, asdict, replace
 from mpmath import mp, mpf, pi
 
 from .mpnum import (PrecisionContext, NonConvergent, SingularJacobian,
-                    SingularMinor, integrate_gauss_legendre)
-from .equilibrium import (Potential, EquilibriumData, build_equilibrium,
+                    SingularMinor, integrate_gauss_legendre, cache_key)
+from .equilibrium import (Potential, build_equilibrium,
                           solve_coefficients, determinant_identity_residual,
                           OnBranchCut, BranchEscape, VariationalViolation,
                           _require_engine)
 from .biortho import (construct, save_system, load_system,
-                      NonPositiveMinor, ComplexRootDetected)
+                      NonPositiveMinor, ComplexRootDetected, _SCHEMA_VERSION)
 from . import kernel as kernelmod
 from . import _plotting
 
@@ -113,8 +112,7 @@ def load_config(path):
 
 
 def config_hash(cfg):
-    blob = json.dumps(asdict(cfg), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return cache_key(asdict(cfg))[:12]
 
 
 def _fmt(x):
@@ -156,16 +154,11 @@ def _ensure_out(cfg):
         os.makedirs(cfg.cache_dir, exist_ok=True)
 
 
-def _system_cache_path(cfg, V, n, m, digits):
-    key = hashlib.sha256(json.dumps(
-        [V.coeff_strings(), n, m, digits, 1], default=str).encode()
-    ).hexdigest()[:24]
-    return os.path.join(cfg.cache_dir, "biortho_%s.json" % key)
-
-
 def _get_system(cfg, V, n, m, ctx):
     if cfg.cache_dir:
-        path = _system_cache_path(cfg, V, n, m, ctx.digits)
+        key = cache_key({"coeffs": V.coeff_strings(), "n": n, "m": m,
+                         "digits": ctx.digits, "version": _SCHEMA_VERSION})
+        path = os.path.join(cfg.cache_dir, "biortho_%s.json" % key)
         if os.path.exists(path):
             return load_system(path, ctx, V=V)
         sys_ = construct(V, n, m, ctx)

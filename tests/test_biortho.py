@@ -184,6 +184,13 @@ def test_construct_insufficient_digits_raises(quad):
         construct(quad, 64, 65, PrecisionContext.for_digits(32))
 
 
+def test_construct_rejects_weight_peak_outside_window_search(ctx64):
+    # V = (x - 60)^2 / 2 puts the weight's peak at x = 60, past the [-50, 50]
+    # box the support-window search scans
+    with pytest.raises(NonConvergent):
+        construct(Potential(("1800", "-60", "1/2")), 2, 3, ctx64)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=6),
        st.floats(-3, 3))

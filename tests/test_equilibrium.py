@@ -35,8 +35,8 @@ from conftest import QUAD, QUARTIC
 
 
 @pytest.fixture(scope="module")
-def table(eq_unit, quad, ctx96):
-    return build_density_table(eq_unit, quad, ctx96)
+def table(eq_unit, ctx96):
+    return build_density_table(eq_unit, ctx96)
 
 
 # --- potential validation -------------------------------------------------
@@ -54,6 +54,12 @@ def test_potential_rejects_negative_leading():
 def test_potential_rejects_nonconvex():
     with pytest.raises(ValueError):
         Potential(("0", "0", "-1", "0", "1/20"))
+
+
+def test_potential_rejects_nonconvex_far_from_origin():
+    # V'' = x^2 + 20x + 99 is -1 at x = -10 and positive on [-5, 95]
+    with pytest.raises(ValueError):
+        Potential(("0", "0", "99/2", "10/3", "1/12"))
 
 
 def test_potential_exact_coefficients():
@@ -143,13 +149,13 @@ def test_unit_time_fields(eq_unit):
         assert abs(eq_unit.b - mpf("2.5804576388691017432")) < mpf(10) ** -19
 
 
-def test_edge_constants_quadratic(eq_unit, quad, ctx96):
+def test_edge_constants_quadratic(eq_unit, ctx96):
     with mp.workdps(110):
         closed = 1 / (pi * sqrt(eq_unit.s_b))
         assert abs(eq_unit.alpha - closed) < mpf(10) ** -60
         assert abs(eq_unit.beta - closed) < mpf(10) ** -60
         assert abs(eq_unit.alpha - mpf("0.3010389039")) < mpf(10) ** -9
-    al, be = edge_constants(eq_unit, quad, ctx96)
+    al, be = edge_constants(eq_unit, ctx96)
     with mp.workdps(110):
         assert abs(al - eq_unit.alpha) < mpf(10) ** -60
         assert abs(be - eq_unit.beta) < mpf(10) ** -60
@@ -160,15 +166,15 @@ def test_determinant_identity(eq_unit):
         assert abs(determinant_identity_residual(eq_unit)) < mpf(10) ** -70
 
 
-def test_lagrange_constant_closed_form(eq_unit, table, quad, ctx96):
-    ell = lagrange_constant(eq_unit, table, quad, ctx96)
+def test_lagrange_constant_closed_form(eq_unit, ctx96):
+    ell = lagrange_constant(eq_unit, ctx96)
     with mp.workdps(110):
         assert abs(ell + mpf("0.5")) < mpf(10) ** -40
         assert abs(eq_unit.ell + mpf("0.5")) < mpf(10) ** -40
 
 
-def test_endpoint_derivatives_golden(eq_unit, quad, ctx96):
-    ap, bp = endpoint_derivatives(eq_unit, quad, ctx96)
+def test_endpoint_derivatives_golden(eq_unit, ctx96):
+    ap, bp = endpoint_derivatives(eq_unit, ctx96)
     with mp.workdps(110):
         s5 = sqrt(mpf(5)) / 2
         assert abs(ap - (mpf("0.5") - s5)) < mpf(10) ** -40
@@ -176,7 +182,7 @@ def test_endpoint_derivatives_golden(eq_unit, quad, ctx96):
 
 
 def test_endpoint_derivatives_match_differences(eq_unit, quad, ctx64):
-    ap, bp = endpoint_derivatives(eq_unit, quad, ctx64)
+    ap, bp = endpoint_derivatives(eq_unit, ctx64)
     with mp.workdps(80):
         h = mpf(10) ** -6
         ab = {}
@@ -198,13 +204,13 @@ def test_density_mass(table):
     assert all(v >= 0 for v in table.values)
 
 
-def test_density_dual_route(eq_unit, table, quad, ctx96):
+def test_density_dual_route(eq_unit, ctx96):
     # interpolating the engine values is not independent; recompute two
     # points through the principal-value route and compare
-    eng = table._engine
+    eng = eq_unit._engine
     with mp.workdps(110):
         for x in (mpf("0.2"), mpf("1.1")):
-            direct = density(eq_unit, quad, x, ctx96)
+            direct = density(eq_unit, x, ctx96)
             assert abs(direct - eng.psi(x)) < mpf(10) ** -40
 
 
@@ -232,26 +238,26 @@ def test_inverse_map_rejects_outside(eq_unit, ctx96):
         inverse_map(eq_unit, 0.5, "sideways", ctx96)
 
 
-def test_g_functions_asymptotics(eq_unit, table, ctx96):
+def test_g_functions_asymptotics(eq_unit, ctx96):
     with mp.workdps(110):
         z = mpf(50)
-        g, g_tilde = g_functions(eq_unit, table, z, ctx96)
+        g, g_tilde = g_functions(eq_unit, z, ctx96)
         mid = (eq_unit.a + eq_unit.b) / 2
         assert abs(g - log(z - mid)) < mpf("0.01")
         # second transform grows like z itself
         assert abs(g_tilde - z) < mpf(2)
     with pytest.raises(ValueError):
-        g_functions(eq_unit, table, 0, ctx96)
+        g_functions(eq_unit, 0, ctx96)
 
 
-def test_f_function_strip(eq_unit, table, ctx96):
+def test_f_function_strip(eq_unit, ctx96):
     with mp.workdps(110):
-        v = F_function(eq_unit, table, mpf("0.7"), ctx96)
+        v = F_function(eq_unit, mpf("0.7"), ctx96)
         assert not isinstance(v, mpc)
-        vc = F_function(eq_unit, table, mpc("0.7", "1.0"), ctx96)
+        vc = F_function(eq_unit, mpc("0.7", "1.0"), ctx96)
         assert isinstance(vc, mpc)
     with pytest.raises(ValueError):
-        F_function(eq_unit, table, mpc(0, "3.2"), ctx96)
+        F_function(eq_unit, mpc(0, "3.2"), ctx96)
 
 
 # --- reflection -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Kernel evaluation, scaling limits, and the degree-window diagnostics."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from mpmath import exp, im, mp, mpc, mpf, pi, sinpi, sqrt
@@ -47,8 +48,8 @@ def sys4():
 
 
 @pytest.fixture(scope="module")
-def psi_star(eq_unit, quad, ctx96):
-    return density(eq_unit, quad, X_STAR, ctx96)
+def psi_star(eq_unit, ctx96):
+    return density(eq_unit, X_STAR, ctx96)
 
 
 def _bulk_points(n, psi, xi, eta):
@@ -216,14 +217,13 @@ def test_bulk_outside_support_raises(sys12, eq_unit, ctx96):
             bulk_scaled(sys12, eq_unit, x, mpf(0), mpf(0), ctx96)
 
 
-def test_f_prime_consistency(eq_unit, quad, ctx96):
-    from biorthlab.equilibrium import build_density_table, F_function
-    table = build_density_table(eq_unit, quad, ctx96, n_nodes=64)
+def test_f_prime_consistency(eq_unit, ctx96):
+    from biorthlab.equilibrium import F_function
     with mp.workdps(120):
         fp = _f_prime(eq_unit, X_STAR, ctx96)
         h = mpf(10) ** -10
-        fd = (F_function(eq_unit, table, X_STAR + h, ctx96)
-              - F_function(eq_unit, table, X_STAR - h, ctx96)) / (2 * h)
+        fd = (F_function(eq_unit, X_STAR + h, ctx96)
+              - F_function(eq_unit, X_STAR - h, ctx96)) / (2 * h)
         assert abs(fp - fd) < mpf(10) ** -12
         assert abs(fp - mpf("0.25")) < mpf("0.01")
 
@@ -244,6 +244,18 @@ def test_edge_left_is_finite_and_positive(sys12, eq_unit, ctx96):
             < mpf(10) ** -60
         assert val > 0
         assert abs(val - ref) < 2 * ref + mpf("0.05")
+
+
+def test_edge_scaled_is_conjugated_kernel(sys12, eq_unit, ctx96):
+    xi, eta = mpf("0.5"), mpf("1")
+    for side, edge, const, sign in (("right", eq_unit.b, eq_unit.beta, 1),
+                                    ("left", eq_unit.a, eq_unit.alpha, -1)):
+        val, _ = edge_scaled(sys12, eq_unit, side, xi, eta, ctx96)
+        with mp.workdps(ctx96.digits + 10):
+            c = (pi * const * 12) ** (mpf(2) / 3)
+            u, v = edge + sign * xi / c, edge + sign * eta / c
+            want = kernel_conjugated(sys12, eq_unit, u, v, ctx96) / c
+            assert abs(val - want) < mpf(10) ** -90 * abs(want)
 
 
 def test_edge_rejects_unknown_side(sys12, eq_unit, ctx96):
@@ -372,14 +384,11 @@ def test_split_sums_to_kernel(sys32, eq_unit, ctx96):
             < mpf(10) ** -100 * (1 + abs(total))
 
 
-def test_split_accepts_collections(sys32, eq_unit, ctx96):
+def test_split_rejects_other_time(sys32, eq_unit, ctx96):
     u, v = _edge_pair(eq_unit, 32, "0.5", "1")
-    one = kernel_split(sys32, eq_unit, "0.1", "0.2", 4, u, v, ctx96)
-    two = kernel_split(sys32, {"1": eq_unit}, "0.1", "0.2", 4, u, v, ctx96)
-    three = kernel_split(sys32, [eq_unit], "0.1", "0.2", 4, u, v, ctx96)
-    assert one.conjugated == two.conjugated == three.conjugated
     with pytest.raises(ValueError):
-        kernel_split(sys32, [], "0.1", "0.2", 4, u, v, ctx96)
+        kernel_split(sys32, replace(eq_unit, t=mpf(2)), "0.1", "0.2", 4,
+                     u, v, ctx96)
 
 
 def test_split_low_block_is_negligible(sys32, eq_unit, ctx96):
@@ -444,11 +453,10 @@ def test_evaluate_bulk_request(sys8, eq_unit, ctx96):
 
 
 def test_evaluate_raw_request(sys8, eq_unit, ctx96):
-    req = KernelRequest(n=8, regime="raw", grid=(("0.1", "0.2"),),
-                        conjugate=False)
+    req = KernelRequest(n=8, regime="raw", grid=(("0.1", "0.2"),))
     res = evaluate_request(sys8, eq_unit, req, ctx96)
     assert res.reference == (mpf(0),)
     assert res.abs_err == (mpf(0),)
     with mp.workdps(60):
-        want = kernel_raw(sys8, mpf("0.1"), mpf("0.2"))
+        want = kernel_conjugated(sys8, eq_unit, mpf("0.1"), mpf("0.2"), ctx96)
         assert abs(res.values[0] - want) < mpf(10) ** -40
