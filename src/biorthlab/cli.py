@@ -9,7 +9,8 @@ only when matplotlib is installed (the ``plot`` extra); without it the
 summary's ``"figures"`` list is empty.
 
 Exit codes: 0 success, 2 invalid config, 3 numerics did not converge,
-4 I/O failure.
+4 I/O failure.  A bulk x_star outside the support and a diagnostics
+m_window above an n of n_list are config errors.
 """
 
 import argparse
@@ -280,6 +281,10 @@ def cmd_universality(cfg):
 
 def cmd_diagnostics(cfg):
     pot = cfg.validate()
+    # the main-term window [n - m_window, n - 1] must not start below 0
+    if cfg.m_window > min(cfg.n_list):
+        raise ConfigError("m_window = %d exceeds n = %d; diagnostics need "
+                          "m_window <= n" % (cfg.m_window, min(cfg.n_list)))
     _ensure_out(cfg)
     tag = config_hash(cfg)
     path = os.path.join(cfg.output_dir, "diagnostics.csv")
@@ -451,7 +456,7 @@ def main(argv=None):
     t0 = time.time()
     try:
         summary = _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, kernelmod.OutsideBulk) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except _NUMERIC_ERRORS as exc:

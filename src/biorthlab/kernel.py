@@ -4,9 +4,14 @@ K_n(x, y) = sum_{j<n} p_j(x) q_j(e^y) e^{-n(V(x)+V(y))/2} / h_j, assembled
 from the damped pair ptilde_j(x) = e^{-nV(x)/2} p_j(x) and qtilde_j(y) =
 e^{-nV(y)/2} q_j(e^y) / h_j so every term stays bounded before any
 conjugation enters.  Bulk windows are compared against the sine kernel,
-edge windows against the Airy kernel, and two diagnostic decompositions
-watch how the limits emerge at finite n: a four-block split of the degree
-range near the soft edge, and a Christoffel-Darboux style expansion of
+edge windows against the Airy kernel.  A grid of (xi, eta) pairs is served
+in two steps: the work that depends on one coordinate (its abscissa, F,
+the damped vectors, Ai and Ai') is done once per distinct value, and each
+point then costs one O(n) diagonal sum, its conjugation factor and its
+reference.  bulk_scaled, edge_scaled and kernel_conjugated are one-point
+grids of that same path.  Two diagnostic decompositions watch how the
+limits emerge at finite n: a four-block split of the degree range near the
+soft edge, and a Christoffel-Darboux style expansion of
 (exp_K(u) - e^v) K_n(u, v) whose off-diagonal pieces J1, J2 must fade.
 """
 
@@ -29,17 +34,20 @@ class OutsideBulk(ValueError):
 # pointwise kernel
 
 
-def _damped_vectors(sys, x, y, degrees):
-    """ptilde_j(x) and qtilde_j(y) for j in degrees, keyed by j.
+def _damped_p(sys, x, degrees):
+    """ptilde_j(x) for j in degrees, keyed by j; x may be complex.
 
-    Every kernel sum below is assembled from these; x and y may be complex.
+    Every kernel sum below is assembled from these and _damped_q.
     """
-    wx = exp(-sys.n * sys.V.V(x) / 2)
-    wy = exp(-sys.n * sys.V.V(y) / 2)
+    w = exp(-sys.n * sys.V.V(x) / 2)
+    return {j: w * _horner(sys.p_coeffs[j], j, x) for j in degrees}
+
+
+def _damped_q(sys, y, degrees):
+    """qtilde_j(y) for j in degrees, keyed by j; y may be complex."""
+    w = exp(-sys.n * sys.V.V(y) / 2)
     ey = exp(y)
-    pt = {j: wx * _horner(sys.p_coeffs[j], j, x) for j in degrees}
-    qt = {j: wy * _horner(sys.q_coeffs[j], j, ey) / sys.h[j] for j in degrees}
-    return pt, qt
+    return {j: w * _horner(sys.q_coeffs[j], j, ey) / sys.h[j] for j in degrees}
 
 
 def _diagonal_sum(pt, qt, lo, hi):
@@ -50,10 +58,10 @@ def _diagonal_sum(pt, qt, lo, hi):
     return acc
 
 
-def _conjugation(sys, eq, u, v):
-    """e^{n(F(u) - F(v))}; F extends to the strip |Im z| < pi."""
-    eng = _require_engine(eq)
-    return exp(sys.n * (eng.F(u) - eng.F(v)))
+def _conjugation(n, F_u, F_v):
+    """e^{n(F(u) - F(v))} from F(u) and F(v); F extends to the strip
+    |Im z| < pi."""
+    return exp(n * (F_u - F_v))
 
 
 def kernel_raw(sys, x, y):
@@ -61,24 +69,24 @@ def kernel_raw(sys, x, y):
     with mp.workdps(sys.digits + 10):
         x = mpmathify(x)
         y = mpmathify(y)
-        pt, qt = _damped_vectors(sys, x, y, range(sys.n))
-        acc = _diagonal_sum(pt, qt, 0, sys.n - 1)
+        degrees = range(sys.n)
+        acc = _diagonal_sum(_damped_p(sys, x, degrees),
+                            _damped_q(sys, y, degrees), 0, sys.n - 1)
         if isinstance(acc, mpc) and im(x) == 0 and im(y) == 0:
             return +acc.real
         return +acc
 
 
 def kernel_conjugated(sys, eq, x, y, ctx):
-    """e^{nF(x)} K_n(x, y) e^{-nF(y)}.
+    """e^{nF(x)} K_n(x, y) e^{-nF(y)}, for real x and y.
 
     On the diagonal this equals kernel_raw, and any 2x2 determinant of
     kernel values is unchanged; off the diagonal the conjugation removes
     the exponential growth that makes the raw kernel unwieldy at large n.
+    A one-point raw grid of _grid_values.
     """
-    with mp.workdps(ctx.digits + 10):
-        x = mpf(x)
-        y = mpf(y)
-        return +(_conjugation(sys, eq, x, y) * kernel_raw(sys, x, y))
+    values, _refs, _work = _grid_values(sys, eq, "raw", ((x, y),), ctx)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +107,17 @@ def airy_kernel(xi, eta, ctx):
     with mp.workdps(ctx.digits + 10):
         xi = mpf(xi)
         eta = mpf(eta)
-        ai_x, aip_x = airy(xi, ctx)
-        if xi == eta:
-            return +(aip_x ** 2 - xi * ai_x ** 2)
-        ai_e, aip_e = airy(eta, ctx)
-        return +((ai_x * aip_e - aip_x * ai_e) / (xi - eta))
+        ai = {s: airy(s, ctx) for s in {xi, eta}}
+        return _airy_from_table(xi, eta, ai)
+
+
+def _airy_from_table(xi, eta, ai):
+    # the Airy kernel from ai[s] = (Ai(s), Ai'(s)) at s = xi and s = eta
+    ai_x, aip_x = ai[xi]
+    if xi == eta:
+        return +(aip_x ** 2 - xi * ai_x ** 2)
+    ai_e, aip_e = ai[eta]
+    return +((ai_x * aip_e - aip_x * ai_e) / (xi - eta))
 
 
 def airy_kernel_integral(xi, eta, L, ctx):
@@ -136,6 +150,83 @@ def _f_prime(eq, x, ctx):
         return +((eng.F(x + h) - eng.F(x - h)) / (2 * h))
 
 
+def _grid_values(sys, eq, regime, grid, ctx, x_star=None,
+                 literal_prefactor=False):
+    """Values and references over grid, in grid order, and the work done.
+
+    Step 1 maps every distinct xi and eta to its abscissa by the regime's
+    affine map: x_star + xi/(n psi(x_star)) in the bulk, b + xi/c at the
+    right edge, a - xi/c at the left, the identity for raw.  Each distinct
+    abscissa gets F once (edge and raw), ptilde where it is a u and qtilde
+    where it is a v; each distinct xi or eta gets Ai and Ai' once (edge).
+    The bulk checks x_star, evaluates psi(x_star) and F'(x_star) and forms
+    the scale once.  Step 2 costs a point one diagonal sum, its
+    conjugation or linearized factor and its reference.  The kernel sum
+    runs at sys.digits + 10 and the rest at ctx.digits + 10, with the same
+    operations in the same order as a one-point grid, so a grid's numbers
+    equal its points' one-point results.  Nothing is kept past the call.
+    """
+    eng = _require_engine(eq)
+    n = sys.n
+    degrees = range(n)
+    with mp.workdps(ctx.digits + 10):
+        if regime == "bulk":
+            x_star = mpf(x_star)
+            if not (eq.a < x_star < eq.b):
+                raise OutsideBulk("x_star = %s is not inside (%s, %s)"
+                                  % (x_star, eq.a, eq.b))
+            dens = eng.psi(x_star)
+            if literal_prefactor:
+                dens = pi * dens
+            scale = dens * n
+            fp = _f_prime(eq, x_star, ctx)
+
+            def place(s):
+                return x_star + s / scale
+        elif regime == "edge_right":
+            c = (pi * eq.beta * n) ** (mpf(2) / 3)
+
+            def place(s):
+                return eq.b + s / c
+        elif regime == "edge_left":
+            c = (pi * eq.alpha * n) ** (mpf(2) / 3)
+
+            def place(s):
+                return eq.a - s / c
+        else:
+            def place(s):
+                return s
+        pts = [(mpf(xi), mpf(eta)) for xi, eta in grid]
+        u = {xi: place(xi) for xi, _ in pts}
+        v = {eta: place(eta) for _, eta in pts}
+        abscissae = set(u.values()) | set(v.values())
+        with mp.workdps(sys.digits + 10):
+            pt = {x: _damped_p(sys, x, degrees) for x in set(u.values())}
+            qt = {y: _damped_q(sys, y, degrees) for y in set(v.values())}
+        F = {} if regime == "bulk" else {x: eng.F(x) for x in abscissae}
+        ai = ({s: airy(s, ctx) for s in set(u) | set(v)}
+              if regime in ("edge_right", "edge_left") else {})
+        values, refs = [], []
+        for xi, eta in pts:
+            x, y = u[xi], v[eta]
+            with mp.workdps(sys.digits + 10):
+                k = _diagonal_sum(pt[x], qt[y], 0, n - 1)
+            if regime == "bulk":
+                values.append(exp(fp * (xi - eta) / dens) * k / scale)
+                refs.append(sine_kernel(xi, eta))
+            elif regime == "raw":
+                values.append(_conjugation(n, F[x], F[y]) * k)
+                refs.append(mpf(0))
+            else:
+                values.append(_conjugation(n, F[x], F[y]) * k / c)
+                refs.append(_airy_from_table(xi, eta, ai))
+    # the bulk's F evaluations are _f_prime's two-point stencil
+    work = {"abscissae": len(abscissae),
+            "F_evals": 2 if regime == "bulk" else len(F),
+            "airy_evals": len(ai)}
+    return values, refs, work
+
+
 def bulk_scaled(sys, eq, x_star, xi, eta, ctx, literal_prefactor=False):
     """Kernel in a bulk window around x_star against the sine kernel.
 
@@ -149,25 +240,13 @@ def bulk_scaled(sys, eq, x_star, xi, eta, ctx, literal_prefactor=False):
 
     Returns (value, reference).  The residual conjugation across the
     window is applied in linearized form e^{F'(x_star)(xi - eta)/s} with
-    s = psi (or pi psi), F' by central difference.
+    s = psi (or pi psi), F' by central difference.  Raises OutsideBulk
+    unless a < x_star < b.  A one-point bulk grid of _grid_values.
     """
-    eng = _require_engine(eq)
-    with mp.workdps(ctx.digits + 10):
-        x_star = mpf(x_star)
-        if not (eq.a < x_star < eq.b):
-            raise OutsideBulk("x_star = %s is not inside (%s, %s)"
-                              % (x_star, eq.a, eq.b))
-        xi = mpf(xi)
-        eta = mpf(eta)
-        dens = eng.psi(x_star)
-        if literal_prefactor:
-            dens = pi * dens
-        scale = dens * sys.n
-        u = x_star + xi / scale
-        v = x_star + eta / scale
-        fp = _f_prime(eq, x_star, ctx)
-        value = exp(fp * (xi - eta) / dens) * kernel_raw(sys, u, v) / scale
-        return +value, sine_kernel(xi, eta)
+    values, refs, _work = _grid_values(sys, eq, "bulk", ((xi, eta),), ctx,
+                                       x_star=x_star,
+                                       literal_prefactor=literal_prefactor)
+    return values[0], refs[0]
 
 
 def edge_scaled(sys, eq, side, xi, eta, ctx):
@@ -180,23 +259,14 @@ def edge_scaled(sys, eq, side, xi, eta, ctx):
     conjugated, rescaled kernel transforms into the reflected one up to
     the factor e^{-(xi-eta)c/2}, so the same Airy limit applies.
 
-    Returns (value, reference) with reference the Airy kernel.
+    Returns (value, reference) with reference the Airy kernel.  A
+    one-point edge grid of _grid_values.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    with mp.workdps(ctx.digits + 10):
-        xi = mpf(xi)
-        eta = mpf(eta)
-        if side == "right":
-            c = (pi * eq.beta * sys.n) ** (mpf(2) / 3)
-            u = eq.b + xi / c
-            v = eq.b + eta / c
-        else:
-            c = (pi * eq.alpha * sys.n) ** (mpf(2) / 3)
-            u = eq.a - xi / c
-            v = eq.a - eta / c
-        value = kernel_conjugated(sys, eq, u, v, ctx) / c
-        return +value, airy_kernel(xi, eta, ctx)
+    values, refs, _work = _grid_values(sys, eq, "edge_" + side, ((xi, eta),),
+                                       ctx)
+    return values[0], refs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +293,7 @@ def kernel_split(sys, eq, delta, delta_prime, M, u, v, ctx):
     if abs(eq.t - 1) > mpf('1e-12'):
         raise ValueError("kernel_split needs the t = 1 equilibrium data")
     n = sys.n
+    eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         u = mpf(u)
         v = mpf(v)
@@ -234,9 +305,10 @@ def kernel_split(sys, eq, delta, delta_prime, M, u, v, ctx):
         # for n < M^(3/2) the top window starts below degree 0; its terms
         # at j < 0 come from end-relative indexing of p_coeffs and q_coeffs,
         # not from the kernel, and stay until perfbench/refs.json is redone
-        pt, qt = _damped_vectors(sys, u, v, range(min(0, k4_start), n))
+        degrees = range(min(0, k4_start), n)
+        pt, qt = _damped_p(sys, u, degrees), _damped_q(sys, v, degrees)
         blocks = [+_diagonal_sum(pt, qt, lo, hi) for lo, hi in windows]
-        cfac = _conjugation(sys, eq, u, v)
+        cfac = _conjugation(n, eng.F(u), eng.F(v))
         conj = tuple(+abs(cfac * b) for b in blocks)
         return KernelSplit(windows=windows, blocks=tuple(blocks),
                            conjugated=conj)
@@ -363,17 +435,21 @@ def cd_decomposition(sys, diag, u, v, ctx, eq=None):
     complex (F extends to the strip |Im z| < pi, so the conjugation does
     too).  When eq is given the three values are also returned with the
     e^{n(F(u)-F(v))} conjugation applied.  J1 and J2 are recorded back
-    onto diag.
+    onto diag.  Raises ValueError when M > n, where the main-term window
+    would start below degree 0.
     """
     n, m, K, M = diag.n, sys.m, diag.K, diag.M
     if n != sys.n:
         raise ValueError("diagnostics were built for n = %d, system has "
                          "n = %d" % (diag.n, sys.n))
+    if M > n:
+        raise ValueError("main-term window M = %d exceeds n = %d" % (M, n))
     a, b = diag.a_coeffs, diag.b_coeffs
     with mp.workdps(ctx.digits + 10):
         u = mpmathify(u)
         v = mpmathify(v)
-        pt, qt = _damped_vectors(sys, u, v, range(m + 1))
+        degrees = range(m + 1)
+        pt, qt = _damped_p(sys, u, degrees), _damped_q(sys, v, degrees)
         j1 = mpf(0)
         for j in range(n):
             for k in range(n):
@@ -392,7 +468,8 @@ def cd_decomposition(sys, diag, u, v, ctx, eq=None):
         residual = abs(lhs - (j1 + j2 - corr))
         cj1 = cj2 = cmain = None
         if eq is not None:
-            cfac = _conjugation(sys, eq, u, v)
+            eng = _require_engine(eq)
+            cfac = _conjugation(n, eng.F(u), eng.F(v))
             cj1, cj2, cmain = +(cfac * j1), +(cfac * j2), +(cfac * main)
         diag.J1_value = +j1
         diag.J2_value = +j2
@@ -442,24 +519,22 @@ def evaluate_request(sys, eq, req, ctx):
     and zero errors, since there is no limiting kernel to compare against
     at fixed points.  Where a sine reference is exactly zero (integer
     xi - eta) the relative error column falls back to the absolute error.
+
+    The request is served in two steps (see _grid_values): F, the damped
+    vectors and the Airy values are evaluated once per distinct abscissa
+    or coordinate, and each point then costs one O(n) diagonal sum.
+    Bulk requests check x_star, evaluate psi(x_star) and F'(x_star) once
+    and raise OutsideBulk unless a < x_star < b.  runtime_meta records
+    the work: the distinct abscissae among u and v, the F evaluations and
+    the Airy evaluations, with the wall time in seconds.
     """
-    t0 = time.time()
-    values, refs = [], []
-    for (xi, eta) in req.grid:
-        if req.regime == "bulk":
-            val, ref = bulk_scaled(sys, eq, req.x_star, xi, eta, ctx)
-        elif req.regime == "edge_right":
-            val, ref = edge_scaled(sys, eq, "right", xi, eta, ctx)
-        elif req.regime == "edge_left":
-            val, ref = edge_scaled(sys, eq, "left", xi, eta, ctx)
-        else:
-            val = kernel_conjugated(sys, eq, xi, eta, ctx)
-            ref = mpf(0)
+    t0 = time.perf_counter()
+    values, refs, work = _grid_values(sys, eq, req.regime, req.grid, ctx,
+                                      x_star=req.x_star)
+    for (xi, eta), val, ref in zip(req.grid, values, refs):
         if not isfinite(val) or not isfinite(ref):
             raise NonConvergent("non-finite kernel value at (%s, %s)"
                                 % (xi, eta))
-        values.append(val)
-        refs.append(ref)
     with mp.workdps(ctx.digits + 10):
         if req.regime == "raw":
             abs_err = tuple(mpf(0) for _ in values)
@@ -469,7 +544,8 @@ def evaluate_request(sys, eq, req, ctx):
             rel_err = tuple(ae / abs(r) if r != 0 else ae
                             for ae, r in zip(abs_err, refs))
     meta = {"n": req.n, "regime": req.regime, "digits": ctx.digits,
-            "points": len(req.grid), "seconds": time.time() - t0}
+            "points": len(req.grid), **work,
+            "seconds": time.perf_counter() - t0}
     return KernelResult(values=tuple(values), reference=tuple(refs),
                         abs_err=abs_err, rel_err=rel_err, runtime_meta=meta)
 

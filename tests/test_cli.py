@@ -120,6 +120,23 @@ def test_exit_io_on_missing_config():
     assert main(["--config", "/no/such/file.json", "equilibrium"]) == EXIT_IO
 
 
+def test_exit_validation_on_bulk_x_star_outside_support(tmp_path, capsys):
+    cfgp = _write_cfg(tmp_path, n_list=[4], digits=48, x_star="5",
+                      output_dir=str(tmp_path / "out"))
+    assert main(["--config", cfgp, "universality"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "x_star" in err
+
+
+def test_exit_validation_on_m_window_above_n(tmp_path, capsys):
+    # the default m_window 6 exceeds n = 4
+    cfgp = _write_cfg(tmp_path, n_list=[4], digits=48,
+                      output_dir=str(tmp_path / "out"))
+    assert main(["--config", cfgp, "diagnostics"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_numeric_on_nonconvergence(tmp_path, monkeypatch):
     def boom(cfg):
         raise NonConvergent("synthetic stall")

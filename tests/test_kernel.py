@@ -9,6 +9,7 @@ from mpmath import exp, im, mp, mpc, mpf, pi, sinpi, sqrt
 from biorthlab.biortho import construct
 from biorthlab.equilibrium import Potential, density
 from biorthlab.kernel import (
+    CDDiagnostics,
     KernelRequest,
     OutsideBulk,
     airy_kernel,
@@ -271,6 +272,14 @@ def test_cd_needs_degree_room(sys8):
         cd_coefficients(sys8, "0.3", 6, ctx_for(8))
 
 
+def test_cd_decomposition_rejects_window_above_n(sys8):
+    # M = 9 > n = 8 would start the main-term window at degree -1
+    diag = CDDiagnostics(delta=mpf(0), M=9, a_coeffs={}, b_coeffs={},
+                         alpha_limits={}, K=0, n=8)
+    with pytest.raises(ValueError):
+        cd_decomposition(sys8, diag, mpf("0.5"), mpf("0.4"), ctx_for(8))
+
+
 def test_cd_tables_frozen_spots(cd16):
     diag, _dec = cd16
     a, b = diag.a_coeffs, diag.b_coeffs
@@ -460,3 +469,45 @@ def test_evaluate_raw_request(sys8, eq_unit, ctx96):
     with mp.workdps(60):
         want = kernel_conjugated(sys8, eq_unit, mpf("0.1"), mpf("0.2"), ctx96)
         assert abs(res.values[0] - want) < mpf(10) ** -40
+
+
+CROSSED = tuple((x, e) for x in ("0", "0.5", "1") for e in ("0", "0.5", "1"))
+# no xi equals another xi or any eta
+DISJOINT = (("0", "0.25"), ("0.5", "0.75"), ("1", "1.25"))
+
+
+@pytest.mark.parametrize("grid", [CROSSED, DISJOINT],
+                         ids=["crossed", "disjoint"])
+def test_grid_request_equals_point_calls(sys8, eq_unit, ctx96, grid):
+    # the per-request hoist must return exactly the single-point numbers
+    point_calls = {
+        "bulk": lambda xi, eta: bulk_scaled(sys8, eq_unit, X_STAR, xi, eta,
+                                            ctx96),
+        "edge_right": lambda xi, eta: edge_scaled(sys8, eq_unit, "right",
+                                                  xi, eta, ctx96),
+        "edge_left": lambda xi, eta: edge_scaled(sys8, eq_unit, "left",
+                                                 xi, eta, ctx96),
+        "raw": lambda xi, eta: (kernel_conjugated(sys8, eq_unit, xi, eta,
+                                                  ctx96), mpf(0)),
+    }
+    for regime, point in point_calls.items():
+        req = KernelRequest(n=8, regime=regime, grid=grid,
+                            x_star=X_STAR if regime == "bulk" else None)
+        res = evaluate_request(sys8, eq_unit, req, ctx96)
+        want = [point(mpf(xi), mpf(eta)) for xi, eta in grid]
+        assert list(res.values) == [w[0] for w in want], regime
+        assert list(res.reference) == [w[1] for w in want], regime
+
+
+def test_request_meta_counts_distinct_work(sys8, eq_unit, ctx96):
+    res = evaluate_request(sys8, eq_unit, KernelRequest(
+        n=8, regime="edge_right", grid=CROSSED), ctx96)
+    meta = res.runtime_meta
+    assert (meta["abscissae"], meta["F_evals"], meta["airy_evals"]) \
+        == (3, 3, 3)
+    assert meta["points"] == 9 and meta["seconds"] > 0
+    res = evaluate_request(sys8, eq_unit, KernelRequest(
+        n=8, regime="bulk", grid=CROSSED, x_star=X_STAR), ctx96)
+    meta = res.runtime_meta
+    assert (meta["abscissae"], meta["F_evals"], meta["airy_evals"]) \
+        == (3, 2, 0)
