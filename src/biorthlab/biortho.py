@@ -15,8 +15,7 @@ from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
 
 from .mpnum import (RealInterval, NonConvergent,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
-                    integrate_gauss_legendre, gauss_legendre_nodes,
-                    num_to_str)
+                    integrate_trapezoid, num_to_str)
 
 
 class NonPositiveMinor(Exception):
@@ -114,65 +113,36 @@ def _window(V, n, m, digits):
 def _moment_rect(V, n, rows, cols, ctx):
     """Rectangular moment table M[i][j], 0 <= i < rows, 0 <= j < cols.
 
-    Fixed-order Gauss-Legendre panels over the common window; a sentinel
-    pass on the two extreme integrands picks the panel count so that the
-    whole family is converged at once.
+    One trapezoidal rule over the common window serves the whole table:
+    each node evaluates e^{-nV(x)} and e^x once and fills the rectangle.
+    The step halves until every entry agrees across two levels to
+    10^-(digits-4) * max(|M[i][j]|, M[0][j]), its column's mass.
     """
     digits = ctx.digits
     mtop = max(rows, cols) - 1
     with mp.workdps(digits + 10):
-        xlo, xhi = _window(V, n, mtop, digits)
-        W = xhi - xlo
-        korder = int(mpf('1.2') * digits) + 40
-        S = n * max(abs(V.Vp(xlo)), abs(V.Vp(xhi))) + mtop
-        P = max(6, int(W * S / (mpf('2.4') * korder)) + 2)
-        xs, ws = gauss_legendre_nodes(korder)
+        win = RealInterval(*_window(V, n, mtop, digits))
+        rel = mpf(10) ** (-(digits - 4))
 
-        def sentinel(PP):
-            s00 = mpf(0)
-            smm = mpf(0)
-            for p in range(PP):
-                lo = xlo + W * p / PP
-                hi = xlo + W * (p + 1) / PP
-                c = (hi + lo) / 2
-                rr = (hi - lo) / 2
-                for qq in range(korder):
-                    x = c + rr * xs[qq]
-                    base = ws[qq] * rr * exp(-n * V.V(x))
-                    s00 += base
-                    smm += base * x ** mtop * exp(mtop * x)
-            return s00, smm
+        def f(x):
+            ex = exp(x)
+            col = exp(-n * V.V(x))
+            out = [None] * (rows * cols)
+            for j in range(cols):
+                v = col
+                for i in range(rows):
+                    out[i * cols + j] = v
+                    v *= x
+                col *= ex
+            return out
 
-        for _ in range(ctx.max_panel_doublings):
-            a1 = sentinel(P)
-            a2 = sentinel(P + 3)
-            rel = max(abs(a1[0] - a2[0]) / abs(a2[0]),
-                      abs(a1[1] - a2[1]) / abs(a2[1]))
-            if rel < mpf(10) ** (-(digits - 4)):
-                break
-            P = int(P * 3 / 2) + 1
-        else:
-            raise NonConvergent("bimoment sentinel did not settle")
+        def tol(vals):
+            return [rel * max(abs(v), abs(vals[k % cols]))
+                    for k, v in enumerate(vals)]
 
-        M = [[mpf(0)] * cols for _ in range(rows)]
-        for p in range(P):
-            lo = xlo + W * p / P
-            hi = xlo + W * (p + 1) / P
-            c = (hi + lo) / 2
-            rr = (hi - lo) / 2
-            for qq in range(korder):
-                x = c + rr * xs[qq]
-                base = ws[qq] * rr * exp(-n * V.V(x))
-                ex = exp(x)
-                xp = [mpf(1)]
-                for i in range(rows - 1):
-                    xp.append(xp[-1] * x)
-                ej = base
-                for j in range(cols):
-                    for i in range(rows):
-                        M[i][j] += xp[i] * ej
-                    ej *= ex
-        return M, RealInterval(xlo, xhi)
+        flat = integrate_trapezoid(f, win, ctx, tol)
+        M = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+        return M, win
 
 
 def _factored_bimoments(V, n, m, ctx):
@@ -290,8 +260,9 @@ def cauchy_transform_q(sys, j, z, ctx):
     win = sys.support_window
     with mp.workdps(ctx.digits + 10):
         def f(s):
-            return _horner(row, j, exp(s)) / (1 - s / z) * exp(-n * V.V(s))
-        val = integrate_gauss_legendre(f, win, ctx)
+            return (_horner(row, j, exp(s)) / (1 - s / z)
+                    * exp(-n * V.V(s)),)
+        val, = integrate_trapezoid(f, win, ctx)
         return -val / (2 * pi * mpc(0, 1) * z)
 
 
@@ -343,7 +314,9 @@ def load_system(path, ctx, V=None):
     """Load a serialized system and spot-validate the defect invariant.
 
     Full revalidation would redo every pairing integral, so the loader
-    samples the diagonal at the top degree and two off-diagonal pairings.
+    samples the diagonal at the top degree and two off-diagonal pairings,
+    all three from one trapezoidal pass over the support window that
+    evaluates the weight e^{-nV} and e^x once per node.
     """
     from .equilibrium import Potential
     with open(path) as f:
@@ -365,12 +338,16 @@ def load_system(path, ctx, V=None):
         hmax = max(sys.h)
         bound = mpf(10) ** (-digits // 3) * hmax
         n = sys.n
-        for (i, j) in [(sys.m, sys.m), (sys.m, sys.m - 1), (0, sys.m)]:
-            def f(s):
-                return (_horner(sys.p_coeffs[i], i, s)
-                        * _horner(sys.q_coeffs[j], j, exp(s))
-                        * exp(-n * V.V(s)))
-            val = integrate_gauss_legendre(f, sys.support_window, ctx)
+        pairs = [(sys.m, sys.m), (sys.m, sys.m - 1), (0, sys.m)]
+
+        def f(s):
+            w = exp(-n * V.V(s))
+            y = exp(s)
+            return [_horner(sys.p_coeffs[i], i, s)
+                    * _horner(sys.q_coeffs[j], j, y) * w for i, j in pairs]
+
+        vals = integrate_trapezoid(f, sys.support_window, ctx)
+        for (i, j), val in zip(pairs, vals):
             if i == j:
                 val -= sys.h[i]
             if abs(val) > bound:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict, replace
 from mpmath import mp, mpf, pi
 
 from .mpnum import (PrecisionContext, NonConvergent, SingularJacobian,
-                    SingularMinor, integrate_gauss_legendre, cache_key)
+                    SingularMinor, integrate_trapezoid, cache_key)
 from .equilibrium import (Potential, build_equilibrium,
                           solve_coefficients, determinant_identity_residual,
                           OnBranchCut, BranchEscape, VariationalViolation,
@@ -328,8 +328,9 @@ def cmd_diagnostics(cfg):
             fig_rows.append((n, dec.identity_residual, abs(dec.conj_J1),
                              a_dev))
             if alpha_rows is None:
+                # cd_coefficients tabulates alpha_l for l = -1 .. m_window
                 alpha_rows = [(l, diag.alpha_limits[l])
-                              for l in range(-1, 5)]
+                              for l in range(-1, min(4, cfg.m_window) + 1)]
     finally:
         writer.close()
     apath = os.path.join(cfg.output_dir, "alpha_limits.csv")
@@ -381,8 +382,8 @@ def cmd_verify(cfg):
         n0 = 4
         sctx = PrecisionContext.for_digits(max(64, 12 * n0))
         sys0 = construct(pot, n0, n0 + 1, sctx)
-        tr = integrate_gauss_legendre(
-            lambda x: kernelmod.kernel_raw(sys0, x, x),
+        tr, = integrate_trapezoid(
+            lambda x: (kernelmod.kernel_raw(sys0, x, x),),
             sys0.support_window, sctx)
         check("kernel trace = n at n=4", abs(tr - n0) < mpf("1e-10"),
               "dev %.1e" % float(abs(tr - n0)))

@@ -1,10 +1,12 @@
 """Arbitrary-precision numerical substrate.
 
-Quadrature (panel-doubled Gauss-Legendre, tanh-sinh, circle contours),
-a complex Newton solver, LDU factorization, the Airy function and the
-decimal serializer and cache key shared by the JSON caches, all on top of
-mpmath reals.  Every routine takes a PrecisionContext and runs at a guarded
-working precision derived from it, so callers never have to touch mp.dps.
+Quadrature (the step-halved trapezoidal rule for the entire, rapidly
+decaying integrands on R; panel-doubled Gauss-Legendre and tanh-sinh for
+finite intervals; circle contours), a complex Newton solver, LDU
+factorization, the Airy function and the decimal serializer and cache key
+shared by the JSON caches, all on top of mpmath reals.  Every routine
+takes a PrecisionContext and runs at a guarded working precision derived
+from it, so callers never have to touch mp.dps.
 """
 
 import hashlib
@@ -126,6 +128,49 @@ def integrate_gauss_legendre(f, iv, ctx):
                 return +cur
             prev = cur
     raise NonConvergent("gauss-legendre stalled at %d panels" % panels)
+
+
+def integrate_trapezoid(f, iv, ctx, tol=None):
+    """Trapezoidal rule for a vector-valued f negligible outside iv.
+
+    f(x) returns a sequence of real or complex values.  On an entire
+    integrand that decays super-exponentially the rule converges
+    exponentially in the node count (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385-458).  The step halves from 16 intervals until two
+    successive levels agree in every component k to tol(values)[k], by
+    default quad_rel_tol * (1 + |value_k|); each halving evaluates only
+    the new odd nodes.  Returns the list of integrals.  Raises
+    NonConvergent when max_panel_doublings halvings do not settle it.
+    """
+    lo, hi = mpf(iv.lo), mpf(iv.hi)
+    with mp.workdps(ctx.digits + _GUARD):
+        if tol is None:
+            rel = mpf(ctx.quad_rel_tol)
+
+            def tol(vals):
+                return [rel * (1 + abs(v)) for v in vals]
+
+        intervals = 16
+        h = (hi - lo) / intervals
+        # running sum of f over the current grid, end nodes at weight 1/2
+        acc = [(a + b) / 2 for a, b in zip(f(lo), f(hi))]
+
+        def add_nodes(first, step, count):
+            for k in range(count):
+                for i, v in enumerate(f(first + k * step)):
+                    acc[i] += v
+
+        add_nodes(lo + h, h, intervals - 1)
+        prev = [h * s for s in acc]
+        for _ in range(ctx.max_panel_doublings):
+            add_nodes(lo + h / 2, h, intervals)
+            intervals *= 2
+            h /= 2
+            cur = [h * s for s in acc]
+            if all(abs(c - p) <= t for c, p, t in zip(cur, prev, tol(cur))):
+                return cur
+            prev = cur
+    raise NonConvergent("trapezoid stalled at %d intervals" % intervals)
 
 
 def integrate_tanh_sinh(f, iv, ctx):

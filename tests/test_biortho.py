@@ -20,7 +20,8 @@ from biorthlab.biortho import (
     zeros,
 )
 from biorthlab.equilibrium import Potential
-from biorthlab.mpnum import NonConvergent, PrecisionContext
+from biorthlab.mpnum import (NonConvergent, PrecisionContext,
+                             integrate_gauss_legendre)
 
 from conftest import ctx_for
 
@@ -84,6 +85,17 @@ def test_defect_against_fresh_quadrature(sys8, quad):
             if i == j:
                 got -= sys8.h[i]
             assert abs(got) < mpf(10) ** -60 * hmax, (i, j)
+
+
+def test_moment_rect_matches_gauss_legendre(quartic):
+    # an independent rule on the same window: panel-doubled Gauss-Legendre
+    n, ctx = 6, ctx_for(6)
+    rect, win = _moment_rect(quartic, n, 8, 8, ctx)
+    with mp.workdps(ctx.digits + 10):
+        for i, j in [(0, 0), (1, 0), (3, 4), (7, 7), (0, 7), (6, 2)]:
+            want = integrate_gauss_legendre(
+                lambda x: x ** i * exp(j * x - n * quartic.V(x)), win, ctx)
+            assert abs(rect[i][j] - want) < mpf(10) ** -60 * rect[0][j], (i, j)
 
 
 def test_support_window_brackets(sys8):

@@ -244,6 +244,15 @@ def test_diagnostics_command(tmp_path):
     _assert_figure(out, "diagnostics.png", "diagnostics_summary.json")
 
 
+def test_diagnostics_command_small_m_window(tmp_path):
+    # alpha_l is tabulated for l = -1 .. m_window, so m_window 3 gives 5 rows
+    cfgp = _write_cfg(tmp_path, n_list=[4], digits=48, m_window=3,
+                      output_dir=str(tmp_path / "out"))
+    assert main(["--config", cfgp, "diagnostics"]) == EXIT_OK
+    arows = _read_csv(tmp_path / "out" / "alpha_limits.csv")
+    assert [r[0] for r in arows[1:]] == ["-1", "0", "1", "2", "3"]
+
+
 def test_verify_command(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "out"), "verify"]) == EXIT_OK
     text = capsys.readouterr().out

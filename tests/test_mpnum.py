@@ -19,6 +19,7 @@ from biorthlab.mpnum import (
     integrate_circle,
     integrate_gauss_legendre,
     integrate_tanh_sinh,
+    integrate_trapezoid,
     invert_unit_lower,
     ldu_bidiagonalize,
 )
@@ -68,6 +69,23 @@ def test_gl_nonconvergent_on_jump():
     f = lambda x: mpf(1) if x > mpf('0.1234567') else mpf(0)
     with pytest.raises(NonConvergent):
         integrate_gauss_legendre(f, RealInterval(0, 1), ctx)
+
+
+def test_trapezoid_integrates_gaussian_moments():
+    f = lambda x: (exp(-x * x), x * x * exp(-x * x), mpc(0, 1) * exp(-x * x))
+    got = integrate_trapezoid(f, RealInterval(-12, 12), CTX)
+    with mp.workdps(60):
+        root_pi = sqrt(mp.pi)
+        assert abs(got[0] - root_pi) < mpf(10) ** -45
+        assert abs(got[1] - root_pi / 2) < mpf(10) ** -45
+        assert abs(got[2] - mpc(0, root_pi)) < mpf(10) ** -45
+
+
+def test_trapezoid_nonconvergent_on_jump():
+    ctx = replace(PrecisionContext.for_digits(48), max_panel_doublings=2)
+    f = lambda x: (mpf(1) if x > mpf('0.1234567') else mpf(0),)
+    with pytest.raises(NonConvergent):
+        integrate_trapezoid(f, RealInterval(0, 1), ctx)
 
 
 def test_tanh_sinh_endpoint_singularities():
