@@ -168,6 +168,13 @@ def _get_system(cfg, V, n, m, ctx):
     return construct(V, n, m, ctx)
 
 
+def _equilibrium_meta(eq):
+    # engine size, its certified series tail and the cache outcome
+    eng = _require_engine(eq)
+    return {"fourier_nodes": eng.N, "fourier_tail": float(eng.tail),
+            "equilibrium_cache": eq.cache}
+
+
 def _effective_digits(cfg, n):
     # bimoment conditioning needs digits growing with n
     return max(cfg.digits, 12 * int(n))
@@ -185,10 +192,11 @@ def cmd_equilibrium(cfg):
     path = os.path.join(cfg.output_dir, "equilibrium.csv")
     writer = ReportWriter(path, ("t", "c0", "c1", "a", "b", "alpha",
                                  "beta", "ell"), tag)
-    rows = []
+    rows, per_t = [], {}
     try:
         for t in cfg.t_list:
             eq = build_equilibrium(pot, t, ctx, cache_dir=cfg.cache_dir)
+            per_t[str(t)] = _equilibrium_meta(eq)
             cells = tuple(_fmt(v) for v in (eq.t, eq.c0, eq.c1, eq.a, eq.b,
                                             eq.alpha, eq.beta, eq.ell))
             writer.row(cells)
@@ -197,7 +205,7 @@ def cmd_equilibrium(cfg):
         writer.close()
     figures = _plotting.render_equilibrium(rows, cfg.output_dir)
     summary = {"config_hash": tag, "rows": len(rows), "csv": path,
-               "figures": figures}
+               "figures": figures, "per_t": per_t}
     _write_json(os.path.join(cfg.output_dir, "equilibrium_summary.json"),
                 summary)
     return summary
@@ -243,7 +251,8 @@ def _universality_one(cfg, pot, n):
     res = kernelmod.evaluate_request(sys_, eq, req, ctx)
     cells = [tuple([row[0], str(row[1])] + [_fmt(v) for v in row[2:]])
              for row in kernelmod.result_rows(req, res)]
-    return n, cells, kernelmod.error_summary(res)
+    return n, cells, dict(kernelmod.error_summary(res),
+                          **_equilibrium_meta(eq))
 
 
 def cmd_universality(cfg):
@@ -292,12 +301,13 @@ def cmd_diagnostics(cfg):
                                  "conj_J1", "conj_J2", "conj_main",
                                  "cK1", "cK2", "cK3", "cK4",
                                  "a_top", "alpha_m1", "a_dev"), tag)
-    fig_rows = []
+    fig_rows, per_n = [], {}
     alpha_rows = None
     try:
         for n in cfg.n_list:
             ctx = PrecisionContext.for_digits(_effective_digits(cfg, n))
             eq = build_equilibrium(pot, 1, ctx, cache_dir=cfg.cache_dir)
+            per_n[str(n)] = _equilibrium_meta(eq)
             K = int(mpf(cfg.delta) * n)
             sys_ = _get_system(cfg, pot, n, n + max(K, 1), ctx)
             diag = kernelmod.cd_coefficients(sys_, mpf(cfg.delta),
@@ -342,7 +352,7 @@ def cmd_diagnostics(cfg):
         awriter.close()
     figures = _plotting.render_diagnostics(fig_rows, cfg.output_dir)
     summary = {"config_hash": tag, "csv": path, "alpha_csv": apath,
-               "figures": figures,
+               "figures": figures, "per_n": per_n,
                "a_dev_by_n": {str(r[0]): float(r[3]) for r in fig_rows}}
     _write_json(os.path.join(cfg.output_dir, "diagnostics_summary.json"),
                 summary)

@@ -174,6 +174,8 @@ class EquilibriumData:
     x_hat_min: object
     digits: int = 0
     _engine: object = field(default=None, repr=False, compare=False)
+    # how build_equilibrium met its cache: "hit", "miss" or "off"
+    cache: str = field(default="off", compare=False)
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -213,44 +215,49 @@ def _contour_radius(c1):
     return max(mpf(1), mpf('0.75') * _s_b(c1) + mpf('0.5'))
 
 
-def solve_coefficients(V, t, ctx, _depth=0):
+def solve_coefficients(V, t, ctx, integrals=False, _depth=0):
     """Newton solve of the two contour conditions for (c1, c0).
 
     The Jacobian uses the closed contour-integral form; the initial guess
     (t, t/2) is exact for the pure quadratic.  Falls back to continuation
-    from t/2 when the direct solve stalls.
+    from t/2 when the direct solve stalls.  Returns (c1, c0); with
+    integrals=True, (c1, c0, P, Q), where P and Q are the contour
+    integrals of V''(J)/(s -+ 1/2) at the solution that the edge constants
+    are built from.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
         if not t > 0:
             raise ValueError("t must be positive")
-        guess = (t, t / 2)
         try:
-            return _newton_coefficients(V, t, guess, ctx)
+            sol = _newton_coefficients(V, t, (t, t / 2), ctx)
         except NonConvergent:
             if _depth >= 3:
                 raise
-            half = solve_coefficients(V, t / 2, ctx, _depth + 1)
-            return _newton_coefficients(V, t, half, ctx)
+            half = solve_coefficients(V, t / 2, ctx, _depth=_depth + 1)
+            sol = _newton_coefficients(V, t, half, ctx)
+    return sol if integrals else sol[:2]
 
 
 def _newton_coefficients(V, t, guess, ctx):
     c1, c0 = mpf(guess[0]), mpf(guess[1])
     tol = mpf(ctx.newton_tol)
+    half = mpf('0.5')
     for _ in range(ctx.newton_max_iter):
-        r = _contour_radius(c1)
         cc1, cc0 = c1, c0
-        U = cc1 * re(integrate_circle(
-            lambda s: V.Vp(map_J(cc1, cc0, s)), r, ctx)) - t
-        W = re(integrate_circle(
-            lambda s: V.Vp(map_J(cc1, cc0, s)) / (s - mpf('0.5')), r,
-            ctx)) - t
+
+        def integrands(s):
+            # J, V'(J) and V''(J) once per node serve all four integrals
+            j = map_J(cc1, cc0, s)
+            vp, vpp = V.Vp(j), V.Vpp(j)
+            return vp, vp / (s - half), vpp / (s - half), vpp / (s + half)
+
+        U, W, P, Q = (re(v) for v in integrate_circle(
+            integrands, _contour_radius(c1), ctx))
+        U = c1 * U - t
+        W -= t
         if abs(U) <= tol and abs(W) <= tol:
-            return +c1, +c0
-        P = re(integrate_circle(
-            lambda s: V.Vpp(map_J(cc1, cc0, s)) / (s - mpf('0.5')), r, ctx))
-        Q = re(integrate_circle(
-            lambda s: V.Vpp(map_J(cc1, cc0, s)) / (s + mpf('0.5')), r, ctx))
+            return +c1, +c0, P, Q
         j11 = (P + Q) / 2
         j12 = P - Q
         j21 = (P - Q) / c1 + P / 2
@@ -285,16 +292,63 @@ def _clenshaw(coeffs, c2):
     return b1, b2
 
 
+# The engine sizes its node count N from the decay of its own series
+# (Chebyshev chopping, Aurentz & Trefethen, ACM TOMS 43 (2017) 33).  Each
+# level solves sigma at N nodes, seeded from the previous level's series,
+# and grows N until every Fourier coefficient of sigma at index >= 4N/5 is
+# below 10^-(digits + _CHOP_GUARD) of the largest; only then does the
+# O(N^2) double-log sum run, and its density coefficients must pass the
+# same test at 10^-digits.  The guard sits above the working precision's
+# rounding floor, about 10^-(digits + 10).
+_PILOT_NODES = 32
+_CHOP_GUARD = 5
+
+
+def _max_nodes(digits):
+    # the fixed node count of the unsized engine; no build exceeds it
+    return max(96, 4 * digits)
+
+
+def _chop(coeffs, tol):
+    """(tail, next) for a coefficient list on N nodes.
+
+    tail is the largest |c_k| at k >= 4N/5.  next is None when tail is at
+    most tol times the largest |c_k|; otherwise it is the node count at
+    which the geometric decay seen from 2N/5 on would bring the tail
+    there, and at least N + 4 (2N when no decay shows).
+    """
+    N = len(coeffs)
+    K = -(-4 * N // 5)
+    mag = [abs(c) for c in coeffs]
+    tail = max(mag[K:])
+    goal = tol * max(mag)
+    if tail <= goal:
+        return tail, None
+    # the envelope's decay rate between its peaks past K/2 and past K,
+    # shaded by a tenth: the early coefficients of these series fall
+    # faster than the late ones, so the plain rate undershoots
+    i = max(range(K // 2, N), key=mag.__getitem__)
+    j = max(range(K, N), key=mag.__getitem__)
+    if j <= i:
+        return tail, 2 * N
+    rate = 0.9 * float(log(mag[i] / tail)) / (j - i)
+    reach = j + float(log(tail / goal)) / rate
+    return tail, max(N + 4, int(1.25 * reach) + 2)
+
+
 class _SigmaSeries:
     """Fourier representation of the upper inverse branch on the support.
 
     sigma(theta) = I_+(mid + rad*cos(theta)) is analytic and periodic on the
     torus, so everything downstream (density, moments, log-potentials, the
     Lagrange constant) becomes a rapidly convergent trigonometric series.
-    All heavy sums run once at construction.
+    All heavy sums run once at construction, on N nodes sized by _chop
+    from _PILOT_NODES up; N is the attribute N and the certified tail of
+    sigma's coefficients is tail.  Raises NonConvergent when the series
+    needs more than _max_nodes(digits) nodes.
     """
 
-    def __init__(self, V, t, c1, c0, P, Q, nodes, digits):
+    def __init__(self, V, t, c1, c0, P, Q, digits):
         self.V = V
         self.t = t
         self.c1, self.c0 = c1, c0
@@ -310,7 +364,30 @@ class _SigmaSeries:
         B_ = mpf('0.5') + s_b
         self.alpha = (A_ * P + B_ * Q) / (pi * sqrt(s_b))
         self.beta = (B_ * P + A_ * Q) / (pi * sqrt(s_b))
-        N = nodes
+        cap = _max_nodes(digits)
+        sig_tol = mpf(10) ** -(digits + _CHOP_GUARD)
+        h_tol = mpf(10) ** -digits
+        N = min(_PILOT_NODES, cap)
+        self.Ak = self.Bk = None
+        while True:
+            ct, st = self._fourier(N)
+            self.tail, grow = _chop(
+                [max(abs(u), abs(v)) for u, v in zip(self.Ak, self.Bk)],
+                sig_tol)
+            if grow is None:
+                self._density(ct, st)
+                _, grow = _chop(self.hc, h_tol)
+                if grow is None:
+                    break
+            if N >= cap:
+                raise NonConvergent("Fourier engine needs more than %d "
+                                    "nodes" % cap)
+            N = min(grow, cap)
+        self.ell = self.ell_at(self.mid)
+
+    def _fourier(self, N):
+        """sigma at N nodes and its coefficients Ak, Bk; returns the
+        cos and sin tables of the lattice."""
         self.N = N
         # the nodes are th[i] = (2i+1) pi/(2N) and phi[j] = (2(j-N)+1) pi/(2N),
         # so every angle in the sums below is a multiple of pi/(2N): k*th[i]
@@ -323,9 +400,13 @@ class _SigmaSeries:
         s = None
         for i in range(N):
             x = self.mid + self.rad * ct[2 * i + 1]
-            if s is None:
+            if self.Ak is not None:
+                # the previous level's series is close to the root
+                s = self.sigma((2 * i + 1) * pi / (2 * N))
+            elif s is None:
                 # seed from the square-root edge expansion near b
-                s = s_b + mpc(0, 1) * sqrt((self.b - x) / (s_b * c1 * c1))
+                s = self.s_b + mpc(0, 1) * sqrt(
+                    (self.b - x) / (self.s_b * self.c1 * self.c1))
             s = self._newton(x, s)
             if im(s) < 0:
                 s = conj(s)
@@ -341,8 +422,15 @@ class _SigmaSeries:
         for k in range(1, N):
             sb_ = mp.fdot(sig_im, [st[(2 * i + 1) * k % M4] for i in range(N)])
             self.Bk.append(sb_ * 2 / N)
-        self.sigf = [conj(sig[N - 1 - j]) if j < N else sig[j - N]
-                     for j in range(2 * N)]
+        return ct, st
+
+    def _density(self, ct, st):
+        """psi at the nodes by the double-log sum, then its Chebyshev
+        coefficients hc, the moments gam and the mass."""
+        V, t, N, sig = self.V, self.t, self.N, self.sig
+        M4 = 4 * N
+        sigf = [conj(sig[N - 1 - j]) if j < N else sig[j - N]
+                for j in range(2 * N)]
         # V'' as a cosine polynomial on the support: exact sine-series
         # pairing with the circular log kernel handles the smooth part
         D = max(1, len(V.ddfrac))
@@ -373,7 +461,7 @@ class _SigmaSeries:
         for i in range(N):
             sgi = sig[i]
             for l in range(i, N):
-                dl = log(abs(self.sigf[N - 1 - l] - sgi))
+                dl = log(abs(sigf[N - 1 - l] - sgi))
                 T[i] += wf[N - 1 - l] * dl
                 if l != i:
                     T[l] += wf[N - 1 - i] * dl
@@ -398,12 +486,11 @@ class _SigmaSeries:
             Ti *= pi / N
             self.psi_v.append(-(L + Ti) / (2 * pi * pi * t))
         # Chebyshev coefficients of psi/(rad sin) and of the measure itself
-        self.hval = [self.psi_v[i] / (self.rad * st[2 * i + 1])
-                     for i in range(N)]
+        hval = [self.psi_v[i] / (self.rad * st[2 * i + 1])
+                for i in range(N)]
         self.hc = []
         for k in range(N):
-            sa = mp.fdot(self.hval,
-                         [ct[(2 * i + 1) * k % M4] for i in range(N)])
+            sa = mp.fdot(hval, [ct[(2 * i + 1) * k % M4] for i in range(N)])
             self.hc.append(sa * (1 if k == 0 else 2) / N)
         r2 = self.rad * self.rad
         g = [mpf(0)] * (N + 2)
@@ -416,7 +503,6 @@ class _SigmaSeries:
         self.Gw = [self.psi_v[i] * self.rad * st[2 * i + 1]
                    for i in range(N)]
         self.gx = [self.mid + self.rad * ct[2 * i + 1] for i in range(N)]
-        self.ell = self.ell_at(self.mid)
 
     def _newton(self, x, s0):
         s = s0
@@ -495,8 +581,12 @@ def _phi_ratio(w):
 def build_equilibrium(V, t, ctx, cache_dir=None):
     """Solve the full equilibrium problem, returning EquilibriumData.
 
-    The attached series engine, on max(96, 4*digits) Fourier nodes, powers
-    the density table, g-functions, F and the Lagrange constant.
+    The attached series engine powers the density table, g-functions, F
+    and the Lagrange constant.  It sizes its Fourier node count from the
+    decay of its own coefficients (see _SigmaSeries), never above the
+    max(96, 4*digits) nodes of the unsized engine.  A cache hit skips the
+    coefficient solve and its contour integrals; the engine is rebuilt
+    on every call.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
@@ -508,25 +598,18 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
     if cached is not None:
         c1, c0, P, Q = cached.c1, cached.c0, cached.P, cached.Q
     else:
-        c1, c0 = solve_coefficients(V, t, ctx)
+        c1, c0, P, Q = solve_coefficients(V, t, ctx, integrals=True)
     with mp.workdps(ctx.digits + 10):
-        if cached is None:
-            r = _contour_radius(c1)
-            P = re(integrate_circle(
-                lambda s: V.Vpp(map_J(c1, c0, s)) / (s - mpf('0.5')), r,
-                ctx))
-            Q = re(integrate_circle(
-                lambda s: V.Vpp(map_J(c1, c0, s)) / (s + mpf('0.5')), r,
-                ctx))
-        nodes = max(96, 4 * ctx.digits)
-        eng = _SigmaSeries(V, t, c1, c0, P, Q, nodes, ctx.digits)
+        eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits)
         eq = EquilibriumData(
             t=t, c0=c0, c1=c1, s_b=eng.s_b, s_a=-eng.s_b,
             a=eng.a, b=eng.b, alpha=eng.alpha, beta=eng.beta,
             P=P, Q=Q, ell=eng.ell,
             x_min=V.argmin(ctx),
             x_hat_min=V.argmin(ctx, slope=t),
-            digits=ctx.digits, _engine=eng)
+            digits=ctx.digits, _engine=eng,
+            cache="off" if cache_dir is None else
+            "miss" if cached is None else "hit")
     if cache_dir is not None and cached is None:
         save_equilibrium(eq, V, cache_dir)
     return eq

@@ -1,12 +1,14 @@
 """Arbitrary-precision numerical substrate.
 
 Quadrature (the step-halved trapezoidal rule for the entire, rapidly
-decaying integrands on R; panel-doubled Gauss-Legendre and tanh-sinh for
-finite intervals; circle contours), a complex Newton solver, LDU
-factorization, the Airy function and the decimal serializer and cache key
-shared by the JSON caches, all on top of mpmath reals.  Every routine
-takes a PrecisionContext and runs at a guarded working precision derived
-from it, so callers never have to touch mp.dps.
+decaying integrands on R and its periodic twin on circle contours, both
+vector-valued and nested so that every node is evaluated once;
+panel-doubled Gauss-Legendre and tanh-sinh for finite intervals), a
+complex Newton solver, LDU factorization, the Airy function and the
+decimal serializer and cache key shared by the JSON caches, all on top
+of mpmath reals.  Every routine takes a PrecisionContext and runs at a
+guarded working precision derived from it, so callers never have to
+touch mp.dps.
 """
 
 import hashlib
@@ -224,28 +226,45 @@ def integrate_tanh_sinh(f, iv, ctx):
 
 
 def integrate_circle(g, radius, ctx):
-    """(1/2 pi i) of the contour integral of g over |s| = radius.
+    """(1/2 pi i) of the contour integral of a vector-valued g over
+    |s| = radius.
 
-    Equispaced trapezoid, node count doubled to agreement; spectrally
-    accurate for integrands analytic in an annulus around the circle.
+    g(s) returns a sequence of complex values; the result is the list of
+    their contour integrals.  The equispaced trapezoidal rule is spectrally
+    accurate for integrands analytic in an annulus around the circle
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).  The node count
+    doubles from 16 until two successive levels agree in every component
+    to quad_rel_tol * (1 + |value|); each doubling evaluates g only at the
+    new odd nodes, so g runs once per node of the final level.  Raises
+    NonConvergent when max_panel_doublings + 1 doublings do not settle it.
     """
     r = mpf(radius)
     if not r > mpf('0.5'):
         raise ValueError("radius must exceed 1/2")
     with mp.workdps(ctx.digits + _GUARD):
+        rel = mpf(ctx.quad_rel_tol)
+        acc = None
+
+        def add_nodes(count, offset):
+            # the nodes r e^{i (2k + offset) pi / count}, k < count
+            nonlocal acc
+            for k in range(count):
+                s = r * exp(mpc(0, (2 * k + offset) * pi / count))
+                terms = [v * s for v in g(s)]
+                acc = terms if acc is None else \
+                    [a + b for a, b in zip(acc, terms)]
+
         nodes = 16
-        prev = None
-        for _ in range(ctx.max_panel_doublings + 2):
-            acc = mpc(0)
-            for k in range(nodes):
-                s = r * exp(mpc(0, 2 * pi * k / nodes))
-                acc += g(s) * s
-            val = acc / nodes
-            if prev is not None and \
-                    abs(val - prev) <= mpf(ctx.quad_rel_tol) * (1 + abs(val)):
-                return +val
-            prev = val
+        add_nodes(nodes, 0)
+        prev = [a / nodes for a in acc]
+        for _ in range(ctx.max_panel_doublings + 1):
+            add_nodes(nodes, 1)
             nodes *= 2
+            cur = [a / nodes for a in acc]
+            if all(abs(c - p) <= rel * (1 + abs(c))
+                   for c, p in zip(cur, prev)):
+                return cur
+            prev = cur
     raise NonConvergent("circle quadrature stalled at %d nodes" % nodes)
 
 

@@ -164,6 +164,11 @@ def test_equilibrium_command(tmp_path):
     _assert_figure(out, "equilibrium.png", "equilibrium_summary.json")
     summary = json.loads((out / "equilibrium_summary.json").read_text())
     assert summary["rows"] == 2
+    assert sorted(summary["per_t"]) == ["1", "1/2"]
+    for meta in summary["per_t"].values():
+        assert 0 < meta["fourier_nodes"] < 4 * 48
+        assert 0 <= meta["fourier_tail"] < 1e-48
+        assert meta["equilibrium_cache"] == "off"
 
 
 def test_biortho_command(tmp_path):
@@ -186,8 +191,14 @@ def test_universality_warm_cache_byte_identical(tmp_path):
     assert main(["--config", cfgp, "universality"]) == EXIT_OK
     first = (out / "universality.csv").read_bytes()
     _assert_figure(out, "universality_bulk.png", "universality_summary.json")
+    summary = out / "universality_summary.json"
+    per_n = json.loads(summary.read_text())["per_n"]
+    assert per_n["4"]["equilibrium_cache"] == "miss"
     assert main(["--config", cfgp, "universality"]) == EXIT_OK
     assert (out / "universality.csv").read_bytes() == first
+    warm = json.loads(summary.read_text())["per_n"]
+    assert warm["4"]["equilibrium_cache"] == "hit"
+    assert warm["4"]["fourier_nodes"] == per_n["4"]["fourier_nodes"]
     rows = _read_csv(out / "universality.csv")
     assert rows[0] == ["regime", "n", "xi", "eta", "value", "reference",
                        "abs_err", "rel_err", "config_hash"]
@@ -242,6 +253,9 @@ def test_diagnostics_command(tmp_path):
     assert arows[0][:2] == ["l", "alpha_l"]
     assert [r[0] for r in arows[1:]] == ["-1", "0", "1", "2", "3", "4"]
     _assert_figure(out, "diagnostics.png", "diagnostics_summary.json")
+    meta = json.loads((out / "diagnostics_summary.json").read_text())["per_n"]
+    assert meta["6"]["equilibrium_cache"] == "off"
+    assert meta["6"]["fourier_nodes"] > 0
 
 
 def test_diagnostics_command_small_m_window(tmp_path):

@@ -29,7 +29,8 @@ from biorthlab.equilibrium import (
     save_equilibrium,
     solve_coefficients,
 )
-from biorthlab.mpnum import PrecisionContext
+from biorthlab import equilibrium
+from biorthlab.mpnum import NonConvergent, PrecisionContext
 
 from conftest import QUAD, QUARTIC
 
@@ -260,6 +261,39 @@ def test_f_function_strip(eq_unit, ctx96):
         F_function(eq_unit, mpc(0, "3.2"), ctx96)
 
 
+# --- engine sizing ----------------------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [QUAD, QUARTIC], ids=["quad", "quartic"])
+@pytest.mark.parametrize("digits", [36, 64])
+def test_sized_engine_matches_unsized(coeffs, digits, monkeypatch):
+    ctx = PrecisionContext.for_digits(digits)
+    eq = build_equilibrium(Potential(coeffs), 1, ctx)
+    eng = eq._engine
+    old_nodes = max(96, 4 * digits)
+    assert eng.N < old_nodes
+    # the unsized engine: one level at the old fixed node count
+    monkeypatch.setattr(equilibrium, "_PILOT_NODES", old_nodes)
+    with mp.workdps(digits + 10):
+        old = equilibrium._SigmaSeries(eng.V, eq.t, eq.c1, eq.c0, eq.P, eq.Q,
+                                       digits)
+        assert old.N == old_nodes
+        tol = mpf(10) ** -digits
+        inside = (eng.mid - eng.rad / 3, eng.mid + eng.rad / 2)
+        for z in inside + (eq.b + mpf("0.05"), eq.a - mpf("0.1")):
+            assert abs(eng.F(z) - old.F(z)) < tol
+        for x in inside:
+            assert abs(eng.psi(x) - old.psi(x)) < tol
+        for name in ("ell", "mass", "alpha", "beta"):
+            assert abs(getattr(eng, name) - getattr(old, name)) < tol, name
+        assert eng.tail < mpf(10) ** -digits
+
+
+def test_engine_node_cap_raises(quad, monkeypatch):
+    monkeypatch.setattr(equilibrium, "_max_nodes", lambda digits: 40)
+    with pytest.raises(NonConvergent, match="Fourier engine"):
+        build_equilibrium(quad, 1, PrecisionContext.for_digits(36))
+
+
 # --- reflection -------------------------------------------------------------
 
 def test_reflect_potential_quadratic(quad):
@@ -294,3 +328,4 @@ def test_warm_build_matches(quad, ctx64, tmp_path):
     first = build_equilibrium(quad, "1/2", ctx64, cache_dir=str(tmp_path))
     again = build_equilibrium(quad, "1/2", ctx64, cache_dir=str(tmp_path))
     assert again.a == first.a and again.ell == first.ell
+    assert (first.cache, again.cache) == ("miss", "hit")
