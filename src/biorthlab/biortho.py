@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
 
-from .mpnum import (RealInterval, NonConvergent,
+from .mpnum import (RealInterval, NonConvergent, _horner,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
                     integrate_trapezoid, num_to_str)
 
@@ -28,13 +28,6 @@ class NonPositiveMinor(Exception):
 
 class ComplexRootDetected(Exception):
     pass
-
-
-def _horner(row, deg, x):
-    s = row[deg]
-    for r in range(deg - 1, -1, -1):
-        s = s * x + row[r]
-    return s
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,10 @@ class BiorthoSystem:
     V: object = field(repr=False, compare=False)
 
     def p(self, j, x):
-        return _horner(self.p_coeffs[j], j, x)
+        return _horner(self.p_coeffs[j], x)
 
     def q(self, j, y):
-        return _horner(self.q_coeffs[j], j, y)
+        return _horner(self.q_coeffs[j], y)
 
 
 @dataclass(frozen=True)
@@ -199,8 +192,8 @@ def _polish_roots(row, deg, raw, digits):
     for z in raw:
         z = mpc(z)
         for _ in range(60):
-            f = _horner(row, deg, z)
-            fp = _horner(drow, deg - 1, z)
+            f = _horner(row, z)
+            fp = _horner(drow, z)
             if fp == 0:
                 break
             step = f / fp
@@ -260,7 +253,7 @@ def cauchy_transform_q(sys, j, z, ctx):
     win = sys.support_window
     with mp.workdps(ctx.digits + 10):
         def f(s):
-            return (_horner(row, j, exp(s)) / (1 - s / z)
+            return (_horner(row, exp(s)) / (1 - s / z)
                     * exp(-n * V.V(s)),)
         val, = integrate_trapezoid(f, win, ctx)
         return -val / (2 * pi * mpc(0, 1) * z)
@@ -280,8 +273,8 @@ def conjugated_pair(sys, eq_t, j, x, ctx):
                              "j/n = %s/%s" % (eq_t.t, j, n))
         gauge = exp(mpf(j) / 2 * eq_t.ell)
         damp = exp(-n * V.V(x) / 2)
-        pt = damp / gauge * _horner(sys.p_coeffs[j], j, x)
-        qt = damp * gauge * _horner(sys.q_coeffs[j], j, exp(x)) / sys.h[j]
+        pt = damp / gauge * _horner(sys.p_coeffs[j], x)
+        qt = damp * gauge * _horner(sys.q_coeffs[j], exp(x)) / sys.h[j]
         return +pt, +qt
 
 
@@ -343,8 +336,8 @@ def load_system(path, ctx, V=None):
         def f(s):
             w = exp(-n * V.V(s))
             y = exp(s)
-            return [_horner(sys.p_coeffs[i], i, s)
-                    * _horner(sys.q_coeffs[j], j, y) * w for i, j in pairs]
+            return [_horner(sys.p_coeffs[i], s)
+                    * _horner(sys.q_coeffs[j], y) * w for i, j in pairs]
 
         vals = integrate_trapezoid(f, sys.support_window, ctx)
         for (i, j), val in zip(pairs, vals):

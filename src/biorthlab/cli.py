@@ -26,7 +26,7 @@ from .mpnum import (PrecisionContext, NonConvergent, SingularJacobian,
 from .equilibrium import (Potential, build_equilibrium,
                           solve_coefficients, determinant_identity_residual,
                           OnBranchCut, BranchEscape, VariationalViolation,
-                          _require_engine)
+                          _require_engine, _to_fraction)
 from .biortho import (construct, save_system, load_system,
                       NonPositiveMinor, ComplexRootDetected, _SCHEMA_VERSION)
 from . import kernel as kernelmod
@@ -57,6 +57,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _exact(key, v, integer=False):
+    """v as an exact rational, or a ConfigError naming key."""
+    # bool is an int subclass, and an integer must not truncate 2.5 to 2
+    if isinstance(v, bool) or integer and not isinstance(v, int):
+        raise ConfigError("%s must be an integer, got %r" % (key, v))
+    try:
+        return _to_fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError("%s must be a decimal or fraction, got %r"
+                          % (key, v)) from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     potential_coeffs: tuple = ("0", "0", "1/2")
@@ -74,9 +86,12 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self):
+        """Check every value, without rewriting it, before any build."""
+        for key in ("digits", "m_window", "jobs"):
+            _exact(key, getattr(self, key), integer=True)
         if not self.n_list:
             raise ConfigError("n_list must be nonempty")
-        if any(int(n) < 1 for n in self.n_list):
+        if any(_exact("n_list", n, integer=True) < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive")
         if self.digits < 32:
             raise ConfigError("digits must be >= 32")
@@ -85,6 +100,16 @@ class RunConfig:
                               "edge_left, raw")
         if not self.t_list:
             raise ConfigError("t_list must be nonempty")
+        if any(_exact("t_list", t) <= 0 for t in self.t_list):
+            raise ConfigError("t_list entries must be positive")
+        for pair in self.grid:
+            if len(pair) != 2:
+                raise ConfigError("grid entries must be (xi, eta) pairs")
+            for v in pair:
+                _exact("grid", v)
+        for key in ("x_star", "delta", "delta_prime"):
+            if getattr(self, key) is not None:
+                _exact(key, getattr(self, key))
         try:
             pot = Potential(self.potential_coeffs)
         except ValueError as exc:
@@ -105,10 +130,12 @@ def load_config(path):
         raise ConfigError("unknown config keys: %s" % ", ".join(sorted(bad)))
     for key in ("potential_coeffs", "t_list", "n_list"):
         if key in raw:
-            raw[key] = tuple(str(v) if key != "n_list" else int(v)
+            raw[key] = tuple(v if key == "n_list" else str(v)
                              for v in raw[key])
     if "grid" in raw:
-        raw["grid"] = tuple((str(a), str(b)) for a, b in raw["grid"])
+        if not all(isinstance(p, list) for p in raw["grid"]):
+            raise ConfigError("grid entries must be [xi, eta] pairs")
+        raw["grid"] = tuple(tuple(str(v) for v in p) for p in raw["grid"])
     return RunConfig(**raw)
 
 

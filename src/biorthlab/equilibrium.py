@@ -18,7 +18,7 @@ from fractions import Fraction
 from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
                     conj, im, re)
 
-from .mpnum import (RealInterval, NonConvergent,
+from .mpnum import (RealInterval, NonConvergent, _horner,
                     integrate_circle, integrate_tanh_sinh, complex_newton,
                     num_to_str, cache_key)
 
@@ -36,12 +36,8 @@ class VariationalViolation(Exception):
 
 
 def _to_fraction(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
+    if isinstance(c, (Fraction, int, str)):
         return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c) if "/" in c else Fraction(c)
     if isinstance(c, float):
         # floats go through their shortest decimal repr, so 0.05 means 1/20
         return Fraction(str(c))
@@ -124,21 +120,14 @@ class Potential:
     def degree(self):
         return len(self.frac) - 1
 
-    @staticmethod
-    def _horner(c, x):
-        s = c[-1]
-        for k in range(len(c) - 2, -1, -1):
-            s = s * x + c[k]
-        return s
-
     def V(self, x):
-        return self._horner(self._lists()[0], x)
+        return _horner(self._lists()[0], x)
 
     def Vp(self, x):
-        return self._horner(self._lists()[1], x)
+        return _horner(self._lists()[1], x)
 
     def Vpp(self, x):
-        return self._horner(self._lists()[2], x)
+        return _horner(self._lists()[2], x)
 
     def coeff_strings(self):
         return tuple(str(f) for f in self.frac)
@@ -162,7 +151,6 @@ class EquilibriumData:
     c0: object
     c1: object
     s_b: object
-    s_a: object
     a: object
     b: object
     alpha: object
@@ -172,8 +160,8 @@ class EquilibriumData:
     ell: object
     x_min: object
     x_hat_min: object
-    digits: int = 0
-    _engine: object = field(default=None, repr=False, compare=False)
+    digits: int
+    _engine: object = field(repr=False, compare=False)
     # how build_equilibrium met its cache: "hit", "miss" or "off"
     cache: str = field(default="off", compare=False)
 
@@ -352,8 +340,6 @@ class _SigmaSeries:
         self.V = V
         self.t = t
         self.c1, self.c0 = c1, c0
-        self.P, self.Q = P, Q
-        self.digits = digits
         s_b = _s_b(c1)
         self.s_b = s_b
         self.a = _J_real(c1, c0, -s_b)
@@ -584,25 +570,22 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
     The attached series engine powers the density table, g-functions, F
     and the Lagrange constant.  It sizes its Fourier node count from the
     decay of its own coefficients (see _SigmaSeries), never above the
-    max(96, 4*digits) nodes of the unsized engine.  A cache hit skips the
-    coefficient solve and its contour integrals; the engine is rebuilt
-    on every call.
+    max(96, 4*digits) nodes of the unsized engine.  The cache entry holds
+    the solve alone, (c1, c0, P, Q): a hit skips the coefficient solve
+    and its contour integrals, and everything else, the engine included,
+    is rebuilt from it on every call.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
     if not t > 0:
         raise ValueError("t must be positive")
-    cached = None
-    if cache_dir is not None:
-        cached = load_equilibrium(V, t, ctx, cache_dir)
-    if cached is not None:
-        c1, c0, P, Q = cached.c1, cached.c0, cached.P, cached.Q
-    else:
-        c1, c0, P, Q = solve_coefficients(V, t, ctx, integrals=True)
+    cached = (load_equilibrium(V, t, ctx, cache_dir)
+              if cache_dir is not None else None)
+    c1, c0, P, Q = cached or solve_coefficients(V, t, ctx, integrals=True)
     with mp.workdps(ctx.digits + 10):
         eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits)
         eq = EquilibriumData(
-            t=t, c0=c0, c1=c1, s_b=eng.s_b, s_a=-eng.s_b,
+            t=t, c0=c0, c1=c1, s_b=eng.s_b,
             a=eng.a, b=eng.b, alpha=eng.alpha, beta=eng.beta,
             P=P, Q=Q, ell=eng.ell,
             x_min=V.argmin(ctx),
@@ -616,10 +599,6 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
 
 
 def _require_engine(eq):
-    if eq._engine is None:
-        raise ValueError("this EquilibriumData has no attached series "
-                         "engine (loaded from cache?); rebuild with "
-                         "build_equilibrium")
     return eq._engine
 
 
@@ -702,24 +681,19 @@ def density(eq, x, ctx):
 
 
 def edge_constants(eq, ctx):
-    """Edge coefficients alpha, beta from the contour integrals P, Q.
+    """Edge coefficients alpha, beta, the engine's contour formula in P, Q.
 
     Cross-checked against a square-root fit of the density near b; the
     mass-t convention means the fit target is t * psi.
     """
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
-        s_b = eq.s_b
-        A_ = mpf('0.5') - s_b
-        B_ = mpf('0.5') + s_b
-        alpha = (A_ * eq.P + B_ * eq.Q) / (pi * sqrt(s_b))
-        beta = (B_ * eq.P + A_ * eq.Q) / (pi * sqrt(s_b))
         eps = mpf(10) ** -4
         fit = eq.t * eng.psi(eq.b - eps) / sqrt(eps)
-        if abs(fit / beta - 1) > mpf('0.01'):
+        if abs(fit / eq.beta - 1) > mpf('0.01'):
             raise NonConvergent("square-root edge fit disagrees with the "
                                 "contour formula for beta")
-        return +alpha, +beta
+        return +eq.alpha, +eq.beta
 
 
 def determinant_identity_residual(eq):
@@ -761,10 +735,8 @@ def F_function(eq, z, ctx):
     if not abs(im(z)) < pi:
         raise ValueError("F is only defined on the strip |Im z| < pi")
     with mp.workdps(ctx.digits + 10):
-        val = eq.t / 2 * eng.mu_int(lambda s: s + log(_phi_ratio(z - s)))
-        if im(z) == 0:
-            return +val.real
-        return +val
+        val = eng.F(z)
+        return +(val.real if im(z) == 0 else val)
 
 
 def lagrange_constant(eq, ctx):
@@ -801,25 +773,22 @@ def reflect_potential(V, n):
 
 # --- JSON cache ---------------------------------------------------------
 
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
+_CACHED = ("c1", "c0", "P", "Q")
 
 
 def _cache_path(cache_dir, V, t, digits):
-    with mp.workdps(digits + 15):
-        tstr = mp.nstr(mpf(t), digits + 12, strip_zeros=True)
-    key = cache_key({"coeffs": V.coeff_strings(), "t": tstr,
+    key = cache_key({"coeffs": V.coeff_strings(), "t": num_to_str(t, digits),
                      "digits": digits, "version": _CACHE_VERSION})
     return os.path.join(cache_dir, "eq_%s.json" % key)
 
 
 def save_equilibrium(eq, V, cache_dir):
+    """Write eq's solve as the entry {version, digits, t, c1, c0, P, Q}."""
     os.makedirs(cache_dir, exist_ok=True)
     digits = eq.digits
-    doc = {"version": _CACHE_VERSION, "digits": digits,
-           "t": num_to_str(eq.t, digits)}
-    for name in ("c0", "c1", "a", "b", "alpha", "beta", "ell",
-                 "s_b", "P", "Q", "x_min", "x_hat_min"):
-        doc[name] = num_to_str(getattr(eq, name), digits)
+    doc = {k: num_to_str(getattr(eq, k), digits) for k in ("t",) + _CACHED}
+    doc.update(version=_CACHE_VERSION, digits=digits)
     path = _cache_path(cache_dir, V, eq.t, digits)
     with open(path, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
@@ -827,7 +796,7 @@ def save_equilibrium(eq, V, cache_dir):
 
 
 def load_equilibrium(V, t, ctx, cache_dir):
-    """Cached solve, or None.  Loaded data carries no series engine."""
+    """The cached solve (c1, c0, P, Q) for V, t and ctx.digits, or None."""
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
     path = _cache_path(cache_dir, V, t, ctx.digits)
@@ -836,12 +805,4 @@ def load_equilibrium(V, t, ctx, cache_dir):
     with open(path) as f:
         doc = json.load(f)
     with mp.workdps(ctx.digits + 10):
-        num = {k: mpf(doc[k]) for k in
-               ("c0", "c1", "a", "b", "alpha", "beta", "ell",
-                "s_b", "P", "Q", "x_min", "x_hat_min", "t")}
-    return EquilibriumData(
-        t=num["t"], c0=num["c0"], c1=num["c1"], s_b=num["s_b"],
-        s_a=-num["s_b"], a=num["a"], b=num["b"], alpha=num["alpha"],
-        beta=num["beta"], P=num["P"], Q=num["Q"], ell=num["ell"],
-        x_min=num["x_min"], x_hat_min=num["x_hat_min"],
-        digits=doc["digits"])
+        return tuple(mpf(doc[k]) for k in _CACHED)

@@ -21,8 +21,9 @@ from statistics import median
 from mpmath import (mp, mpf, mpc, mpmathify, exp, pi, sinpi, im,
                     factorial, floor, isfinite)
 
-from .mpnum import RealInterval, NonConvergent, airy, integrate_gauss_legendre
-from .biortho import _horner, _moment_rect
+from .mpnum import (RealInterval, NonConvergent, airy,
+                    integrate_gauss_legendre, _horner)
+from .biortho import _moment_rect
 from .equilibrium import _require_engine
 
 
@@ -40,14 +41,14 @@ def _damped_p(sys, x, degrees):
     Every kernel sum below is assembled from these and _damped_q.
     """
     w = exp(-sys.n * sys.V.V(x) / 2)
-    return {j: w * _horner(sys.p_coeffs[j], j, x) for j in degrees}
+    return {j: w * _horner(sys.p_coeffs[j], x) for j in degrees}
 
 
 def _damped_q(sys, y, degrees):
     """qtilde_j(y) for j in degrees, keyed by j; y may be complex."""
     w = exp(-sys.n * sys.V.V(y) / 2)
     ey = exp(y)
-    return {j: w * _horner(sys.q_coeffs[j], j, ey) / sys.h[j] for j in degrees}
+    return {j: w * _horner(sys.q_coeffs[j], ey) / sys.h[j] for j in degrees}
 
 
 def _diagonal_sum(pt, qt, lo, hi):
@@ -302,11 +303,13 @@ def kernel_split(sys, eq, delta, delta_prime, M, u, v, ctx):
         k2_end = min(int(floor((1 - mpf(delta_prime)) * n)), k4_start - 1)
         windows = ((0, j1_end), (j1_end + 1, k2_end),
                    (k2_end + 1, k4_start - 1), (k4_start, n - 1))
-        # for n < M^(3/2) the top window starts below degree 0; its terms
-        # at j < 0 come from end-relative indexing of p_coeffs and q_coeffs,
-        # not from the kernel, and stay until perfbench/refs.json is redone
-        degrees = range(min(0, k4_start), n)
-        pt, qt = _damped_p(sys, u, degrees), _damped_q(sys, v, degrees)
+        pt, qt = _damped_p(sys, u, range(n)), _damped_q(sys, v, range(n))
+        # for n < M^(3/2) the top window starts below degree 0; its j < 0
+        # terms, the damped p_coeffs[j][j] and q_coeffs[j][j], are not kernel
+        # terms and stay until perfbench/refs.json is redone
+        for j in range(k4_start, 0):
+            pt[j] = exp(-n * sys.V.V(u) / 2) * sys.p_coeffs[j][j]
+            qt[j] = exp(-n * sys.V.V(v) / 2) * sys.q_coeffs[j][j] / sys.h[j]
         blocks = [+_diagonal_sum(pt, qt, lo, hi) for lo, hi in windows]
         cfac = _conjugation(n, eng.F(u), eng.F(v))
         conj = tuple(+abs(cfac * b) for b in blocks)

@@ -9,7 +9,6 @@ from mpmath import conj, exp, mp, mpc, mpf, pi, sqrt
 
 from biorthlab.biortho import (
     NonPositiveMinor,
-    _horner,
     _moment_rect,
     bimoments,
     cauchy_transform_q,
@@ -20,7 +19,7 @@ from biorthlab.biortho import (
     zeros,
 )
 from biorthlab.equilibrium import Potential
-from biorthlab.mpnum import (NonConvergent, PrecisionContext,
+from biorthlab.mpnum import (NonConvergent, PrecisionContext, _horner,
                              integrate_gauss_legendre)
 
 from conftest import ctx_for
@@ -133,7 +132,7 @@ def test_cauchy_transform_oracle(sys8):
     got = cauchy_transform_q(sys8, j, z, ctx)
     with mp.workdps(ctx.digits + 10):
         win = sys8.support_window
-        f = lambda s: (_horner(sys8.q_coeffs[j], j, exp(s))
+        f = lambda s: (_horner(sys8.q_coeffs[j], exp(s))
                        * exp(-8 * sys8.V.V(s)) / (s - z))
         want = mp.quad(f, [mpf(win.lo), mpf(win.hi)]) / (2 * pi * mpc(0, 1))
         assert abs(got - want) < mpf(10) ** -50 * (1 + abs(want))
@@ -156,8 +155,8 @@ def test_conjugated_pair_gauge_cancels(sys8, eq_unit):
     pt, qt = conjugated_pair(sys8, eq_unit, 8, x, ctx)
     with mp.workdps(110):
         damp2 = exp(-8 * sys8.V.V(x))
-        direct = (damp2 * _horner(sys8.p_coeffs[8], 8, x)
-                  * _horner(sys8.q_coeffs[8], 8, exp(x)) / sys8.h[8])
+        direct = (damp2 * _horner(sys8.p_coeffs[8], x)
+                  * _horner(sys8.q_coeffs[8], exp(x)) / sys8.h[8])
         assert abs(pt * qt - direct) < mpf(10) ** -70 * (1 + abs(direct))
 
 
@@ -211,5 +210,5 @@ def test_horner_matches_naive(coeffs, x):
         row = [mpf(c) for c in coeffs]
         xv = mpf(x)
         want = sum(c * xv ** k for k, c in enumerate(row))
-        got = _horner(row, len(row) - 1, xv)
+        got = _horner(row, xv)
         assert abs(got - want) <= mpf(10) ** -25 * (1 + abs(want))

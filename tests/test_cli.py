@@ -120,6 +120,25 @@ def test_exit_io_on_missing_config():
     assert main(["--config", "/no/such/file.json", "equilibrium"]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command, kw", [
+    ("universality", {"n_list": ["abc"]}),
+    ("universality", {"n_list": [2.5]}),
+    ("universality", {"digits": 40.5}),
+    ("universality", {"grid": [[0]]}),
+    ("universality", {"x_star": "abc"}),
+    ("universality", {"t_list": ["0"]}),
+    ("diagnostics", {"delta": "zz", "m_window": 4}),
+])
+def test_exit_validation_on_malformed_value(tmp_path, capsys, command, kw):
+    # each is caught before any build, so nothing is written
+    cfgp = _write_cfg(tmp_path, **dict({"n_list": [4], "digits": 48,
+                                        "output_dir": str(tmp_path / "out")},
+                                       **kw))
+    assert main(["--config", cfgp, command]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_validation_on_bulk_x_star_outside_support(tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, n_list=[4], digits=48, x_star="5",
                       output_dir=str(tmp_path / "out"))

@@ -1,6 +1,6 @@
 """Numerics substrate: quadratures, Newton solver, LDU, Airy."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,10 @@ CTX = PrecisionContext.for_digits(48)
 def test_context_fields():
     ctx = PrecisionContext.for_digits(64)
     assert ctx.digits == 64
+    # the digit count is the whole state: tolerances and budgets derive
+    assert [f.name for f in fields(PrecisionContext)] == ["digits"]
+    with pytest.raises(TypeError):
+        replace(ctx, max_panel_doublings=2)
     with mp.workdps(80):
         assert abs(ctx.quad_rel_tol / mpf(10) ** -56 - 1) < mpf(10) ** -10
         assert abs(ctx.newton_tol / mpf(10) ** -52 - 1) < mpf(10) ** -10
@@ -64,11 +68,12 @@ def test_gl_integrates_exp():
         assert abs(val - (exp(1) - 1)) < mpf(10) ** -45
 
 
-def test_gl_nonconvergent_on_jump():
-    ctx = replace(PrecisionContext.for_digits(48), max_panel_doublings=2)
+def test_gl_nonconvergent_on_jump(monkeypatch):
+    # a small budget keeps the test fast; the default one takes seconds
+    monkeypatch.setattr(PrecisionContext, "max_panel_doublings", 2)
     f = lambda x: mpf(1) if x > mpf('0.1234567') else mpf(0)
     with pytest.raises(NonConvergent):
-        integrate_gauss_legendre(f, RealInterval(0, 1), ctx)
+        integrate_gauss_legendre(f, RealInterval(0, 1), CTX)
 
 
 def test_trapezoid_integrates_gaussian_moments():
@@ -81,11 +86,11 @@ def test_trapezoid_integrates_gaussian_moments():
         assert abs(got[2] - mpc(0, root_pi)) < mpf(10) ** -45
 
 
-def test_trapezoid_nonconvergent_on_jump():
-    ctx = replace(PrecisionContext.for_digits(48), max_panel_doublings=2)
+def test_trapezoid_nonconvergent_on_jump(monkeypatch):
+    monkeypatch.setattr(PrecisionContext, "max_panel_doublings", 2)
     f = lambda x: (mpf(1) if x > mpf('0.1234567') else mpf(0),)
     with pytest.raises(NonConvergent):
-        integrate_trapezoid(f, RealInterval(0, 1), ctx)
+        integrate_trapezoid(f, RealInterval(0, 1), CTX)
 
 
 def test_tanh_sinh_endpoint_singularities():
