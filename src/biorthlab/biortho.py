@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
 
-from .mpnum import (RealInterval, NonConvergent, _horner,
+from .mpnum import (RealInterval, NonConvergent, _horner, newton,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
                     integrate_trapezoid, num_to_str)
 
@@ -186,22 +186,16 @@ def construct(V, n, m, ctx):
 
 
 def _polish_roots(row, deg, raw, digits):
-    # newton refinement of simple roots at full precision
+    # newton refinement of simple roots at full precision; a vanishing
+    # derivative leaves the root where it stands
     drow = [r * row[r] for r in range(1, deg + 1)]
-    out = []
-    for z in raw:
-        z = mpc(z)
-        for _ in range(60):
-            f = _horner(row, z)
-            fp = _horner(drow, z)
-            if fp == 0:
-                break
-            step = f / fp
-            z -= step
-            if abs(step) < mpf(10) ** (-digits + 8) * (1 + abs(z)):
-                break
-        out.append(z)
-    return out
+    tol = mpf(10) ** (-digits + 8)
+
+    def step(z):
+        fp = _horner(drow, z)
+        return _horner(row, z) / fp if fp != 0 else 0
+
+    return [newton(step, mpc(z), tol) for z in raw]
 
 
 def zeros(sys, j):

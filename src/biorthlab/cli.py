@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass, asdict, replace
 from mpmath import mp, mpf, pi
 
-from .mpnum import (PrecisionContext, NonConvergent, SingularJacobian,
-                    SingularMinor, integrate_trapezoid, cache_key)
+from .mpnum import (PrecisionContext, NonConvergent, SingularMinor,
+                    integrate_trapezoid, cache_key)
 from .equilibrium import (Potential, build_equilibrium,
                           solve_coefficients, determinant_identity_residual,
                           OnBranchCut, BranchEscape, VariationalViolation,
@@ -37,9 +37,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_NUMERIC_ERRORS = (NonConvergent, SingularJacobian, SingularMinor,
-                   NonPositiveMinor, ComplexRootDetected, OnBranchCut,
-                   BranchEscape, VariationalViolation)
+_NUMERIC_ERRORS = (NonConvergent, SingularMinor, NonPositiveMinor,
+                   ComplexRootDetected, OnBranchCut, BranchEscape,
+                   VariationalViolation)
 
 _DEFAULT_GRIDS = {
     "bulk": (("-0.5", "-0.5"), ("-0.5", "0"), ("-0.5", "0.5"),
@@ -95,9 +95,9 @@ class RunConfig:
             raise ConfigError("n_list entries must be positive")
         if self.digits < 32:
             raise ConfigError("digits must be >= 32")
-        if self.regime not in ("bulk", "edge_right", "edge_left", "raw"):
-            raise ConfigError("regime must be one of bulk, edge_right, "
-                              "edge_left, raw")
+        if self.regime not in kernelmod.REGIMES:
+            raise ConfigError("regime must be one of %s"
+                              % ", ".join(kernelmod.REGIMES))
         if not self.t_list:
             raise ConfigError("t_list must be nonempty")
         if any(_exact("t_list", t) <= 0 for t in self.t_list):
@@ -130,6 +130,10 @@ def load_config(path):
         raise ConfigError("unknown config keys: %s" % ", ".join(sorted(bad)))
     for key in ("potential_coeffs", "t_list", "n_list"):
         if key in raw:
+            # a string is iterable too: "102" would read as 1, 0, 2
+            if not isinstance(raw[key], list):
+                raise ConfigError("%s must be a JSON list, got %r"
+                                  % (key, raw[key]))
             raw[key] = tuple(v if key == "n_list" else str(v)
                              for v in raw[key])
     if "grid" in raw:

@@ -18,9 +18,9 @@ from fractions import Fraction
 from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
                     conj, im, re)
 
-from .mpnum import (RealInterval, NonConvergent, _horner,
-                    integrate_circle, integrate_tanh_sinh, complex_newton,
-                    num_to_str, cache_key)
+from .mpnum import (RealInterval, NonConvergent, _horner, newton,
+                    integrate_circle, integrate_tanh_sinh, num_to_str,
+                    cache_key)
 
 
 class OnBranchCut(Exception):
@@ -135,14 +135,9 @@ class Potential:
     def argmin(self, ctx, slope=0):
         """Argmin of V(x) - slope*x (unique by convexity)."""
         with mp.workdps(ctx.digits + 10):
-            x = mpf(0)
             target = mpf(slope)
-            for _ in range(200):
-                step = (self.Vp(x) - target) / self.Vpp(x)
-                x -= step
-                if abs(step) < mpf(10) ** (-ctx.digits - 2) * (1 + abs(x)):
-                    return +x
-        raise NonConvergent("argmin newton stalled")
+            return +newton(lambda x: (self.Vp(x) - target) / self.Vpp(x),
+                           mpf(0), mpf(10) ** (-ctx.digits - 2))
 
 
 @dataclass(frozen=True)
@@ -260,13 +255,6 @@ def _newton_coefficients(V, t, guess, ctx):
     raise NonConvergent("coefficient newton exhausted its iterations")
 
 
-def endpoints(eq):
-    """Support endpoints from the critical values of J."""
-    a = _J_real(eq.c1, eq.c0, -eq.s_b)
-    b = _J_real(eq.c1, eq.c0, eq.s_b)
-    return a, b
-
-
 def _clenshaw(coeffs, c2):
     """b_1, b_2 of the recurrence b_k = coeffs[k] + c2 b_(k+1) - b_(k+2).
 
@@ -334,6 +322,11 @@ class _SigmaSeries:
     from _PILOT_NODES up; N is the attribute N and the certified tail of
     sigma's coefficients is tail.  Raises NonConvergent when the series
     needs more than _max_nodes(digits) nodes.
+
+    invert solves J(s) = x to the engine's own tolerance
+    10^-(digits + 4), fixed here, whatever precision its caller runs at:
+    c1 and c0 carry digits + 10 digits, so a tighter tolerance buys
+    nothing, and next to an edge, where J' vanishes, it is never met.
     """
 
     def __init__(self, V, t, c1, c0, P, Q, digits):
@@ -350,6 +343,7 @@ class _SigmaSeries:
         B_ = mpf('0.5') + s_b
         self.alpha = (A_ * P + B_ * Q) / (pi * sqrt(s_b))
         self.beta = (B_ * P + A_ * Q) / (pi * sqrt(s_b))
+        self.tol = mpf(10) ** -(digits + 4)
         cap = _max_nodes(digits)
         sig_tol = mpf(10) ** -(digits + _CHOP_GUARD)
         h_tol = mpf(10) ** -digits
@@ -393,7 +387,7 @@ class _SigmaSeries:
                 # seed from the square-root edge expansion near b
                 s = self.s_b + mpc(0, 1) * sqrt(
                     (self.b - x) / (self.s_b * self.c1 * self.c1))
-            s = self._newton(x, s)
+            s = self.invert(x, s)
             if im(s) < 0:
                 s = conj(s)
             sig.append(s)
@@ -490,14 +484,11 @@ class _SigmaSeries:
                    for i in range(N)]
         self.gx = [self.mid + self.rad * ct[2 * i + 1] for i in range(N)]
 
-    def _newton(self, x, s0):
-        s = s0
-        for _ in range(300):
-            step = (map_J(self.c1, self.c0, s) - x) / _J_prime(self.c1, s)
-            s = s - step
-            if abs(step) < mpf(10) ** (-mp.dps + 6) * (1 + abs(s)):
-                break
-        return s
+    def invert(self, x, s0):
+        """The root of J(s) = x that Newton's iteration reaches from s0."""
+        c1, c0 = self.c1, self.c0
+        return newton(lambda s: (map_J(c1, c0, s) - x) / _J_prime(c1, s),
+                      s0, self.tol)
 
     def sigma(self, th):
         # the cosine and the sine series by Clenshaw: two trigonometric
@@ -513,7 +504,7 @@ class _SigmaSeries:
         return acos(c)
 
     def iplus(self, x):
-        s = self._newton(x, self.sigma(self.theta_of(x)))
+        s = self.invert(x, self.sigma(self.theta_of(x)))
         if im(s) < 0:
             s = conj(s)
         return s
@@ -609,11 +600,12 @@ class DensityTable:
     mass_check: object
 
 
-def build_density_table(eq, ctx, n_nodes=512):
-    """Density on a Chebyshev grid of the support, plus its own mass check."""
+def build_density_table(eq, ctx):
+    """Density on a 512-node Chebyshev grid of the support, plus its own
+    mass check."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
-        N = n_nodes
+        N = 512
         th = [(i + mpf('0.5')) * pi / N for i in range(N)]
         nodes = [eng.mid + eng.rad * cos(t_) for t_ in th]
         values = [eng.psi(x) for x in nodes]
@@ -629,17 +621,19 @@ def build_density_table(eq, ctx, n_nodes=512):
 
 
 def inverse_map(eq, x, branch, ctx):
-    """Inverse of J on the support; branch 'upper' lands on gamma_1."""
+    """Inverse of J on the support; branch 'upper' lands on gamma_1.
+
+    The engine's inversion from its series seed, to the engine's own
+    tolerance (see _SigmaSeries).  Raises BranchEscape when the root
+    lands on or below the real axis away from the edges.
+    """
     if branch not in ("upper", "lower"):
         raise ValueError("branch must be 'upper' or 'lower'")
     if not (eq.a < x < eq.b):
         raise ValueError("x outside the open support interval")
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
-        seed = eng.sigma(eng.theta_of(x))
-        c1, c0 = eq.c1, eq.c0
-        s = complex_newton(lambda w: map_J(c1, c0, w) - x, seed, ctx,
-                           dF=lambda w: _J_prime(c1, w))
+        s = eng.invert(x, eng.sigma(eng.theta_of(x)))
         edge_gap = min(abs(x - eq.a), abs(x - eq.b))
         if im(s) <= 0 and edge_gap > mpf(10) ** (-ctx.digits // 2):
             raise BranchEscape("inverse-map iterate crossed the real axis "

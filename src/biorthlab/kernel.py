@@ -151,8 +151,7 @@ def _f_prime(eq, x, ctx):
         return +((eng.F(x + h) - eng.F(x - h)) / (2 * h))
 
 
-def _grid_values(sys, eq, regime, grid, ctx, x_star=None,
-                 literal_prefactor=False):
+def _grid_values(sys, eq, regime, grid, ctx, x_star=None):
     """Values and references over grid, in grid order, and the work done.
 
     Step 1 maps every distinct xi and eta to its abscissa by the regime's
@@ -177,8 +176,6 @@ def _grid_values(sys, eq, regime, grid, ctx, x_star=None,
                 raise OutsideBulk("x_star = %s is not inside (%s, %s)"
                                   % (x_star, eq.a, eq.b))
             dens = eng.psi(x_star)
-            if literal_prefactor:
-                dens = pi * dens
             scale = dens * n
             fp = _f_prime(eq, x_star, ctx)
 
@@ -228,25 +225,23 @@ def _grid_values(sys, eq, regime, grid, ctx, x_star=None,
     return values, refs, work
 
 
-def bulk_scaled(sys, eq, x_star, xi, eta, ctx, literal_prefactor=False):
+def bulk_scaled(sys, eq, x_star, xi, eta, ctx):
     """Kernel in a bulk window around x_star against the sine kernel.
 
     The local mean spacing at x_star is 1/(n psi(x_star)): the trace
     identity int K_n(x, x) dx = n together with int psi = 1 forces the
     diagonal K_n(x, x) ~ n psi(x).  The window and prefactor therefore use
     the scale n psi(x_star), under which the limit is the unit-diagonal
-    sine kernel.  literal_prefactor=True switches both to n pi psi(x_star);
-    that variant is kept for cross-checking the alternative normalization
-    and its diagonal plateaus at 1/pi instead of 1.
+    sine kernel; the scale n pi psi(x_star) would plateau the diagonal at
+    1/pi instead.
 
     Returns (value, reference).  The residual conjugation across the
-    window is applied in linearized form e^{F'(x_star)(xi - eta)/s} with
-    s = psi (or pi psi), F' by central difference.  Raises OutsideBulk
-    unless a < x_star < b.  A one-point bulk grid of _grid_values.
+    window is applied in linearized form e^{F'(x_star)(xi - eta)/psi},
+    F' by central difference.  Raises OutsideBulk unless a < x_star < b.
+    A one-point bulk grid of _grid_values.
     """
     values, refs, _work = _grid_values(sys, eq, "bulk", ((xi, eta),), ctx,
-                                       x_star=x_star,
-                                       literal_prefactor=literal_prefactor)
+                                       x_star=x_star)
     return values[0], refs[0]
 
 
@@ -357,11 +352,9 @@ class CDDiagnostics:
     alpha_limits: dict
     K: int
     n: int
-    J1_value: object = None
-    J2_value: object = None
 
 
-def cd_coefficients(sys, delta, M, ctx, eq=None):
+def cd_coefficients(sys, delta, M, ctx, eq):
     """Expansion coefficients of e^x qtilde_j and exp_K(x) ptilde_j.
 
     a_{j,k} expands e^x qtilde_j over the qtilde basis and vanishes for
@@ -370,8 +363,9 @@ def cd_coefficients(sys, delta, M, ctx, eq=None):
     sums, so they are computed from one moment rectangle rather than by
     fresh quadrature per pair.  a is tabulated on all available degrees,
     b for j < n (row index) against all k.  M is the half-width of the
-    near-diagonal window used later by cd_decomposition; when eq is given
-    the alpha_limits table is filled for l = -1 .. M.
+    near-diagonal window used later by cd_decomposition; alpha_limits
+    tabulates alpha_limit(l, eq) for l = -1 .. M, eq being the t = 1
+    equilibrium data.
 
     Needs sys degrees through n + K; raises NonConvergent if the moment
     quadrature cannot certify itself.
@@ -408,9 +402,7 @@ def cd_coefficients(sys, delta, M, ctx, eq=None):
                     for t in range(k + 1):
                         s += prow * qc[k][t] * folded[r][t]
                 b[(j, k)] = +(s / h[k])
-        alphas = {}
-        if eq is not None:
-            alphas = {l: alpha_limit(l, eq) for l in range(-1, M + 1)}
+        alphas = {l: alpha_limit(l, eq) for l in range(-1, M + 1)}
         return CDDiagnostics(delta=delta, M=M, a_coeffs=a, b_coeffs=b,
                              alpha_limits=alphas, K=K, n=n)
 
@@ -421,12 +413,12 @@ class CDDecomposition:
     J2: object
     main_term: object
     identity_residual: object
-    conj_J1: object = None
-    conj_J2: object = None
-    conj_main_term: object = None
+    conj_J1: object
+    conj_J2: object
+    conj_main_term: object
 
 
-def cd_decomposition(sys, diag, u, v, ctx, eq=None):
+def cd_decomposition(sys, diag, u, v, ctx, eq):
     """The pieces of (exp_K(u) - e^v) K_n(u, v) and their identity residual.
 
     The product expands exactly as J1 + J2 - a_{n-1,n} ptilde_{n-1}(u)
@@ -436,10 +428,9 @@ def cd_decomposition(sys, diag, u, v, ctx, eq=None):
     k in [n, j+M] minus the same correction term; its inner window is
     clipped to the system's top degree when m < n + M - 1.  u, v may be
     complex (F extends to the strip |Im z| < pi, so the conjugation does
-    too).  When eq is given the three values are also returned with the
-    e^{n(F(u)-F(v))} conjugation applied.  J1 and J2 are recorded back
-    onto diag.  Raises ValueError when M > n, where the main-term window
-    would start below degree 0.
+    too).  The three values are also returned with the e^{n(F(u)-F(v))}
+    conjugation applied, F from eq's engine.  Raises ValueError when
+    M > n, where the main-term window would start below degree 0.
     """
     n, m, K, M = diag.n, sys.m, diag.K, diag.M
     if n != sys.n:
@@ -469,33 +460,31 @@ def cd_decomposition(sys, diag, u, v, ctx, eq=None):
         kn = _diagonal_sum(pt, qt, 0, n - 1)
         lhs = (exp_trunc(u, K) - exp(v)) * kn
         residual = abs(lhs - (j1 + j2 - corr))
-        cj1 = cj2 = cmain = None
-        if eq is not None:
-            eng = _require_engine(eq)
-            cfac = _conjugation(n, eng.F(u), eng.F(v))
-            cj1, cj2, cmain = +(cfac * j1), +(cfac * j2), +(cfac * main)
-        diag.J1_value = +j1
-        diag.J2_value = +j2
+        eng = _require_engine(eq)
+        cfac = _conjugation(n, eng.F(u), eng.F(v))
         return CDDecomposition(J1=+j1, J2=+j2, main_term=+main,
                                identity_residual=+residual,
-                               conj_J1=cj1, conj_J2=cj2,
-                               conj_main_term=cmain)
+                               conj_J1=+(cfac * j1), conj_J2=+(cfac * j2),
+                               conj_main_term=+(cfac * main))
 
 
 # ---------------------------------------------------------------------------
 # grid driver and emission
 
+REGIMES = ("bulk", "edge_right", "edge_left", "raw")
+
 
 @dataclass(frozen=True)
 class KernelRequest:
     n: int
-    regime: str                 # bulk | edge_right | edge_left | raw
+    regime: str                 # one of REGIMES
     grid: tuple                 # ((xi, eta), ...)
     x_star: object = None
 
     def __post_init__(self):
-        if self.regime not in ("bulk", "edge_right", "edge_left", "raw"):
-            raise ValueError("unknown regime %r" % (self.regime,))
+        if self.regime not in REGIMES:
+            raise ValueError("unknown regime %r; expected one of %s"
+                             % (self.regime, ", ".join(REGIMES)))
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if self.regime == "bulk" and self.x_star is None:

@@ -11,7 +11,7 @@ the Airy evaluations for the same values (716 -> 2052 a call at 64
 digits, 458-1066 -> 2052-4100 at 96), and tanh-sinh as a change of
 variables into the trapezoid slowed the density dual-route test 30 -> 55 s.
 
-Also complex Newton, LDU, Airy and the JSON caches' serializer and key,
+Also Newton's iteration, LDU, Airy and the JSON caches' serializer and key,
 on mpmath reals.  Every routine takes a PrecisionContext and runs at a
 guarded working precision derived from it; callers never touch mp.dps.
 """
@@ -24,10 +24,6 @@ from mpmath import mp, mpf, mpc, cos, cosh, sinh, exp, pi, gamma
 
 class NonConvergent(Exception):
     """Iteration budget exhausted before the tolerance was met."""
-
-
-class SingularJacobian(Exception):
-    pass
 
 
 class SingularMinor(Exception):
@@ -93,19 +89,24 @@ def gauss_legendre_nodes(order):
     key = (order, mp.prec)
     if key in _gl_cache:
         return _gl_cache[key]
+
+    def legendre(x):
+        # P_order(x) and its derivative by the three-term recurrence
+        p0, p1 = mpf(1), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, order * (x * p1 - p0) / (x * x - 1)
+
+    def step(x):
+        p, dp = legendre(x)
+        return p / dp
+
     xs, ws = [], []
-    stop = mpf(10) ** (-mp.dps + 3)
+    tol = mpf(10) ** (-mp.dps + 3)
     for i in range(1, order + 1):
-        x = cos(pi * (i - mpf('0.25')) / (order + mpf('0.5')))
-        for _ in range(100):
-            p0, p1 = mpf(1), x
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < stop:
-                break
+        x = newton(step, cos(pi * (i - mpf('0.25')) / (order + mpf('0.5'))),
+                   tol)
+        dp = legendre(x)[1]
         xs.append(x)
         ws.append(2 / ((1 - x * x) * dp * dp))
     _gl_cache[key] = (xs, ws)
@@ -282,30 +283,32 @@ def integrate_circle(g, radius, ctx):
     raise NonConvergent("circle quadrature stalled at %d nodes" % nodes)
 
 
-def complex_newton(F, z0, ctx, dF=None):
-    """One-variable Newton in the complex plane.
+def newton(step, z, tol):
+    """Newton's iteration z <- z - step(z), with step(z) = f(z)/f'(z).
 
-    dF defaults to a central difference with step 10^(-digits/2), which is
-    plenty for the analytic maps this package inverts.
+    The one Newton loop for one unknown; it runs at the caller's
+    precision, real or complex.  Returns z once |step| < tol (1 + |z|).
+    Near a double root the step becomes rounding noise amplified by 1/f'
+    and the root resolves only to about the square root of the working
+    epsilon, so it also returns once a step below sqrt(tol) (1 + |z|) is
+    no smaller than the one before.  Raises NonConvergent after
+    PrecisionContext.newton_max_iter steps.
     """
-    with mp.workdps(ctx.digits + _GUARD):
-        z = mpc(z0)
-        if dF is None:
-            hstep = mpf(10) ** (-ctx.digits // 2)
-
-            def dF(w):
-                return (F(w + hstep) - F(w - hstep)) / (2 * hstep)
-
-        for _ in range(ctx.newton_max_iter):
-            fz = F(z)
-            if abs(fz) <= mpf(ctx.newton_tol):
-                return +z
-            d = dF(z)
-            if abs(d) == 0:
-                raise SingularJacobian("vanishing derivative in complex_newton")
-            z = z - fz / d
-    raise NonConvergent("complex_newton: no convergence after %d iterations"
-                        % ctx.newton_max_iter)
+    prev = None
+    for _ in range(PrecisionContext.newton_max_iter):
+        d = step(z)
+        z = z - d
+        size = abs(d)
+        scale = 1 + abs(z)
+        if size < tol * scale:
+            return z
+        # squares, so the stall test needs no square root
+        if prev is not None and size >= prev and \
+                size * size < tol * scale * scale:
+            return z
+        prev = size
+    raise NonConvergent("newton: no convergence after %d steps"
+                        % PrecisionContext.newton_max_iter)
 
 
 def ldu_bidiagonalize(M):

@@ -127,6 +127,10 @@ def test_exit_io_on_missing_config():
     ("universality", {"grid": [[0]]}),
     ("universality", {"x_star": "abc"}),
     ("universality", {"t_list": ["0"]}),
+    # strings where lists belong: "102" must not read as 1 + 2x^2
+    ("universality", {"potential_coeffs": "102"}),
+    ("universality", {"t_list": "12"}),
+    ("universality", {"n_list": 4}),
     ("diagnostics", {"delta": "zz", "m_window": 4}),
 ])
 def test_exit_validation_on_malformed_value(tmp_path, capsys, command, kw):

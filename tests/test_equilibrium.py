@@ -19,7 +19,6 @@ from biorthlab.equilibrium import (
     edge_constants,
     effective_potential,
     endpoint_derivatives,
-    endpoints,
     F_function,
     g_functions,
     inverse_map,
@@ -141,9 +140,6 @@ def test_unit_time_fields(eq_unit):
         assert abs(eq_unit.s_b - s_b) < mpf(10) ** -80
         assert abs(eq_unit.x_min) < mpf(10) ** -80
         assert abs(eq_unit.x_hat_min - 1) < mpf(10) ** -80
-        a, b = endpoints(eq_unit)
-        assert abs(a - eq_unit.a) < mpf(10) ** -80
-        assert abs(b - eq_unit.b) < mpf(10) ** -80
         assert abs(eq_unit.a + eq_unit.b - 2 * eq_unit.c0) < mpf(10) ** -80
         # b = phi + 2 log phi for the quadratic field at t = 1
         phi = (1 + sqrt(mpf(5))) / 2
@@ -214,6 +210,28 @@ def test_density_dual_route(eq_unit, ctx96):
         for x in (mpf("0.2"), mpf("1.1")):
             direct = density(eq_unit, x, ctx96)
             assert abs(direct - eng.psi(x)) < mpf(10) ** -40
+
+
+def test_engine_inverts_next_to_the_edges(eq_unit, monkeypatch):
+    # density() runs tanh-sinh at 2 digits + 20, and next to an edge J'
+    # vanishes: a tolerance read from that precision is never met there,
+    # while the engine's own one is met within the Newton budget
+    steps = []
+    j_prime = equilibrium._J_prime
+
+    def counted(c1, s):
+        steps[-1] += 1
+        return j_prime(c1, s)
+
+    monkeypatch.setattr(equilibrium, "_J_prime", counted)
+    eng = eq_unit._engine
+    with mp.workdps(2 * 96 + 20):
+        for x in (eq_unit.a + mpf(10) ** -100, eq_unit.b - mpf(10) ** -107):
+            steps.append(0)
+            s = eng.iplus(x)
+            assert steps[-1] <= PrecisionContext.newton_max_iter
+            back = map_J(eq_unit.c1, eq_unit.c0, s)
+            assert abs(back - x) <= mpf(10) ** -96
 
 
 def test_effective_potential_negative_outside(eq_unit, ctx96):

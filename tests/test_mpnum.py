@@ -1,4 +1,4 @@
-"""Numerics substrate: quadratures, Newton solver, LDU, Airy."""
+"""Numerics substrate: quadratures, Newton's iteration, LDU, Airy."""
 
 from dataclasses import fields, replace
 
@@ -11,10 +11,8 @@ from biorthlab.mpnum import (
     NonConvergent,
     PrecisionContext,
     RealInterval,
-    SingularJacobian,
     SingularMinor,
     airy,
-    complex_newton,
     gauss_legendre_nodes,
     integrate_circle,
     integrate_gauss_legendre,
@@ -22,6 +20,7 @@ from biorthlab.mpnum import (
     integrate_trapezoid,
     invert_unit_lower,
     ldu_bidiagonalize,
+    newton,
 )
 
 CTX = PrecisionContext.for_digits(48)
@@ -154,15 +153,46 @@ def test_circle_components_settle_separately():
             assert abs(v - 1) < mpf(10) ** -40
 
 
-def test_complex_newton_finds_i():
-    z = complex_newton(lambda w: w * w + 1, mpc(0.5, 0.5), CTX)
+def _square_plus_one_step(w):
+    return (w * w + 1) / (2 * w)
+
+
+def test_newton_finds_i():
     with mp.workdps(60):
+        z = newton(_square_plus_one_step, mpc(0.5, 0.5), mpf(10) ** -50)
         assert abs(z - mpc(0, 1)) < mpf(10) ** -40
 
 
-def test_complex_newton_flat_start():
-    with pytest.raises(SingularJacobian):
-        complex_newton(lambda w: w * w + 1, mpc(0), CTX)
+def test_newton_nonconvergent_from_real_start():
+    # real iterates of z^2 + 1 never leave the real line, so never reach i
+    with mp.workdps(60):
+        with pytest.raises(NonConvergent):
+            newton(_square_plus_one_step, mpf("0.3"), mpf(10) ** -50)
+
+
+def test_newton_returns_at_double_root():
+    # at a double root the residual of the expanded square cancels to
+    # rounding noise within about sqrt(eps) of the root, so the step
+    # never meets the tolerance; the iteration must still return
+    def double_root_step(r, steps):
+        def step(w):
+            d = (w * w - 2 * r * w + r * r) / (2 * w - 2 * r)
+            steps.append(d)
+            return d
+        return step
+
+    with mp.workdps(60):
+        tol = mpf(10) ** -50
+        steps = []
+        z = newton(double_root_step(1, steps), 1 + mpf(10) ** -20, tol)
+        assert abs(z - 1) < mpf(10) ** -25
+        # here the noise never cancels to an exact zero step, so the stall
+        # rule, not the step test, ends the iteration
+        r = mpc(1, 1) / 3
+        steps = []
+        z = newton(double_root_step(r, steps), r + mpf(10) ** -20, tol)
+        assert abs(z - r) < mpf(10) ** -25
+        assert abs(steps[-1]) >= tol * (1 + abs(z))
 
 
 def _pascal(m):
