@@ -127,13 +127,23 @@ def test_exit_io_on_missing_config():
     ("universality", {"grid": [[0]]}),
     ("universality", {"x_star": "abc"}),
     ("universality", {"t_list": ["0"]}),
-    # strings where lists belong: "102" must not read as 1 + 2x^2
-    ("universality", {"potential_coeffs": "102"}),
-    ("universality", {"t_list": "12"}),
-    ("universality", {"n_list": 4}),
     ("diagnostics", {"delta": "zz", "m_window": 4}),
 ])
 def test_exit_validation_on_malformed_value(tmp_path, capsys, command, kw):
+    _assert_config_error(tmp_path, capsys, command, kw)
+
+
+# strings where lists belong: "102" must not read as 1 + 2x^2
+@pytest.mark.parametrize("kw", [
+    {"potential_coeffs": "102"},
+    {"t_list": "12"},
+    {"n_list": 4},
+])
+def test_exit_validation_on_scalar_for_list(tmp_path, capsys, kw):
+    _assert_config_error(tmp_path, capsys, "universality", kw)
+
+
+def _assert_config_error(tmp_path, capsys, command, kw):
     # each is caught before any build, so nothing is written
     cfgp = _write_cfg(tmp_path, **dict({"n_list": [4], "digits": 48,
                                         "output_dir": str(tmp_path / "out")},
