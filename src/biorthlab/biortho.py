@@ -17,6 +17,9 @@ from .mpnum import (RealInterval, NonConvergent, _horner, newton,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
                     integrate_trapezoid, num_to_str)
 
+# construct builds degrees up to n + MAX_EXTRA_DEGREES, no further
+MAX_EXTRA_DEGREES = 8
+
 
 class NonPositiveMinor(Exception):
     """A leading principal minor of the bimoment matrix came out <= 0.
@@ -142,8 +145,8 @@ def _factored_bimoments(V, n, m, ctx):
     """The bimoment matrix, its window and its LDU, every pivot positive."""
     if not 1 <= n:
         raise ValueError("n must be a positive integer")
-    if m > n + 8:
-        raise ValueError("m > n + 8 is outside the supported window")
+    if m > n + MAX_EXTRA_DEGREES:
+        raise ValueError("m exceeds n + %d" % MAX_EXTRA_DEGREES)
     M, win = _moment_rect(V, n, m + 1, m + 1, ctx)
     with mp.workdps(ctx.digits + 10):
         try:

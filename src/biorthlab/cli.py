@@ -10,7 +10,7 @@ summary's ``"figures"`` list is empty.
 
 Exit codes: 0 success, 2 invalid config, 3 numerics did not converge,
 4 I/O failure.  A bulk x_star outside the support and a diagnostics
-m_window above an n of n_list are config errors.
+m_window, delta or delta_prime out of range are config errors.
 """
 
 import argparse
@@ -28,7 +28,8 @@ from .equilibrium import (Potential, build_equilibrium,
                           OnBranchCut, BranchEscape, VariationalViolation,
                           _require_engine, _to_fraction)
 from .biortho import (construct, save_system, load_system,
-                      NonPositiveMinor, ComplexRootDetected, _SCHEMA_VERSION)
+                      NonPositiveMinor, ComplexRootDetected, _SCHEMA_VERSION,
+                      MAX_EXTRA_DEGREES)
 from . import kernel as kernelmod
 from . import _plotting
 
@@ -140,6 +141,10 @@ def load_config(path):
         if not all(isinstance(p, list) for p in raw["grid"]):
             raise ConfigError("grid entries must be [xi, eta] pairs")
         raw["grid"] = tuple(tuple(str(v) for v in p) for p in raw["grid"])
+    for key in ("x_star", "delta", "delta_prime"):
+        # a JSON number goes through its decimal repr, not a binary float
+        if isinstance(raw.get(key), (int, float)):
+            raw[key] = str(raw[key])
     return RunConfig(**raw)
 
 
@@ -204,6 +209,11 @@ def _equilibrium_meta(eq):
     eng = _require_engine(eq)
     return {"fourier_nodes": eng.N, "fourier_tail": float(eng.tail),
             "equilibrium_cache": eq.cache}
+
+
+def _delta_degrees(cfg, n):
+    # K = floor(delta n): diagnostics build degrees through n + max(K, 1)
+    return int(mpf(cfg.delta) * n)
 
 
 def _effective_digits(cfg, n):
@@ -273,7 +283,7 @@ def _universality_one(cfg, pot, n):
     eq = build_equilibrium(pot, 1, ctx, cache_dir=cfg.cache_dir)
     sys_ = _get_system(cfg, pot, n, n + 1, ctx)
     if cfg.regime == "bulk":
-        x_star = mpf(cfg.x_star) if cfg.x_star else (eq.a + eq.b) / 2
+        x_star = (eq.a + eq.b) / 2 if cfg.x_star is None else mpf(cfg.x_star)
     else:
         x_star = None
     grid = tuple((mpf(a), mpf(b)) for a, b in cfg.effective_grid())
@@ -325,6 +335,13 @@ def cmd_diagnostics(cfg):
     if cfg.m_window > min(cfg.n_list):
         raise ConfigError("m_window = %d exceeds n = %d; diagnostics need "
                           "m_window <= n" % (cfg.m_window, min(cfg.n_list)))
+    for key in ("delta", "delta_prime"):
+        if not 0 < _exact(key, getattr(cfg, key)) < 1:
+            raise ConfigError("diagnostics need 0 < %s < 1" % key)
+    K = _delta_degrees(cfg, max(cfg.n_list))
+    if K > MAX_EXTRA_DEGREES:
+        raise ConfigError("floor(delta n) = %d; diagnostics need at most %d"
+                          % (K, MAX_EXTRA_DEGREES))
     _ensure_out(cfg)
     tag = config_hash(cfg)
     path = os.path.join(cfg.output_dir, "diagnostics.csv")
@@ -339,7 +356,7 @@ def cmd_diagnostics(cfg):
             ctx = PrecisionContext.for_digits(_effective_digits(cfg, n))
             eq = build_equilibrium(pot, 1, ctx, cache_dir=cfg.cache_dir)
             per_n[str(n)] = _equilibrium_meta(eq)
-            K = int(mpf(cfg.delta) * n)
+            K = _delta_degrees(cfg, n)
             sys_ = _get_system(cfg, pot, n, n + max(K, 1), ctx)
             diag = kernelmod.cd_coefficients(sys_, mpf(cfg.delta),
                                              cfg.m_window, ctx, eq=eq)
@@ -360,7 +377,8 @@ def cmd_diagnostics(cfg):
             alpha_m1 = diag.alpha_limits[-1]
             a_dev = abs(a_top - alpha_m1)
             writer.row((str(n), str(ctx.digits),
-                        _fmt(dec.identity_residual),
+                        # an exact identity's residual: magnitude, not noise
+                        mp.nstr(dec.identity_residual, 3),
                         _fmt(abs(dec.conj_J1)), _fmt(abs(dec.conj_J2)),
                         _fmt(abs(dec.conj_main_term)),
                         _fmt(split.conjugated[0]), _fmt(split.conjugated[1]),

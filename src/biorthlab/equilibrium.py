@@ -19,8 +19,7 @@ from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
                     conj, im, re)
 
 from .mpnum import (RealInterval, NonConvergent, _horner, newton,
-                    integrate_circle, integrate_tanh_sinh, num_to_str,
-                    cache_key)
+                    integrate_tanh_sinh, num_to_str, cache_key)
 
 
 class OnBranchCut(Exception):
@@ -194,53 +193,73 @@ def _s_b(c1):
     return sqrt(mpf('0.25') + 1 / c1)
 
 
-def _contour_radius(c1):
-    return max(mpf(1), mpf('0.75') * _s_b(c1) + mpf('0.5'))
+def _contour_integrals(V, c1, c0):
+    """(U, W, P, Q): (1/2 pi i) times the integrals of V'(J),
+    V'(J)/(s - 1/2), V''(J)/(s - 1/2) and V''(J)/(s + 1/2) around the cut.
+
+    Off the cut J = c1 s + c0 + sum_(k odd) 2^(1-k) s^-k / k, so each
+    integral is a residue at infinity and needs no quadrature.  U is
+    [s^-1] V'(J); as 1/(s -+ 1/2) = sum_(m>=0) (+-1/2)^m s^(-m-1), W and P
+    are sum_(m>=0) 2^-m [s^m] of V'(J) and V''(J), Q that of V''(J) with
+    (-1/2)^m.  Horner's products drop exponents below -(deg V + 1), which
+    keeps the coefficients used exact: in a product of p <= deg V - 1
+    factors J a term s^e meets at most s^(p-1), so only e >= -p reaches
+    s^-1, and a dropped term rises by at most deg V - 1, to below s^-2.
+    """
+    low = -(V.degree + 1)
+    J = {1: c1, 0: c0}
+    J.update((-k, mpf(2) ** (1 - k) / k) for k in range(1, 1 - low, 2))
+
+    def of_J(coeffs):
+        h = {0: coeffs[-1]}
+        for c in reversed(coeffs[:-1]):
+            prod = {0: c}
+            for e, a in h.items():
+                for f, b in J.items():
+                    if e + f >= low:
+                        prod[e + f] = prod.get(e + f, 0) + a * b
+            h = prod
+        return h
+
+    def at(h, x):
+        return sum(a * x ** e for e, a in h.items() if e >= 0)
+
+    _, dV, ddV = V._lists()
+    vp, vpp = of_J(dV), of_J(ddV)
+    half = mpf('0.5')
+    return vp[-1], at(vp, half), at(vpp, half), at(vpp, -half)
 
 
-def solve_coefficients(V, t, ctx, integrals=False, _depth=0):
+def solve_coefficients(V, t, ctx, _depth=0):
     """Newton solve of the two contour conditions for (c1, c0).
 
-    The Jacobian uses the closed contour-integral form; the initial guess
-    (t, t/2) is exact for the pure quadratic.  Falls back to continuation
-    from t/2 when the direct solve stalls.  Returns (c1, c0); with
-    integrals=True, (c1, c0, P, Q), where P and Q are the contour
-    integrals of V''(J)/(s -+ 1/2) at the solution that the edge constants
-    are built from.
+    The conditions and the Jacobian are exact contour integrals (see
+    _contour_integrals); the initial guess (t, t/2) is exact for the pure
+    quadratic.  Falls back to continuation from t/2 when the direct solve
+    stalls.  Returns (c1, c0).
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
         if not t > 0:
             raise ValueError("t must be positive")
         try:
-            sol = _newton_coefficients(V, t, (t, t / 2), ctx)
+            return _newton_coefficients(V, t, (t, t / 2), ctx)
         except NonConvergent:
             if _depth >= 3:
                 raise
             half = solve_coefficients(V, t / 2, ctx, _depth=_depth + 1)
-            sol = _newton_coefficients(V, t, half, ctx)
-    return sol if integrals else sol[:2]
+            return _newton_coefficients(V, t, half, ctx)
 
 
 def _newton_coefficients(V, t, guess, ctx):
     c1, c0 = mpf(guess[0]), mpf(guess[1])
     tol = mpf(ctx.newton_tol)
-    half = mpf('0.5')
     for _ in range(ctx.newton_max_iter):
-        cc1, cc0 = c1, c0
-
-        def integrands(s):
-            # J, V'(J) and V''(J) once per node serve all four integrals
-            j = map_J(cc1, cc0, s)
-            vp, vpp = V.Vp(j), V.Vpp(j)
-            return vp, vp / (s - half), vpp / (s - half), vpp / (s + half)
-
-        U, W, P, Q = (re(v) for v in integrate_circle(
-            integrands, _contour_radius(c1), ctx))
+        U, W, P, Q = _contour_integrals(V, c1, c0)
         U = c1 * U - t
         W -= t
         if abs(U) <= tol and abs(W) <= tol:
-            return +c1, +c0, P, Q
+            return +c1, +c0
         j11 = (P + Q) / 2
         j12 = P - Q
         j21 = (P - Q) / c1 + P / 2
@@ -562,9 +581,9 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
     and the Lagrange constant.  It sizes its Fourier node count from the
     decay of its own coefficients (see _SigmaSeries), never above the
     max(96, 4*digits) nodes of the unsized engine.  The cache entry holds
-    the solve alone, (c1, c0, P, Q): a hit skips the coefficient solve
-    and its contour integrals, and everything else, the engine included,
-    is rebuilt from it on every call.
+    the solve alone, (c1, c0): a hit skips the coefficient solve, and
+    everything else, the contour integrals P and Q and the engine
+    included, is rebuilt from it on every call.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
@@ -572,8 +591,9 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
         raise ValueError("t must be positive")
     cached = (load_equilibrium(V, t, ctx, cache_dir)
               if cache_dir is not None else None)
-    c1, c0, P, Q = cached or solve_coefficients(V, t, ctx, integrals=True)
+    c1, c0 = cached or solve_coefficients(V, t, ctx)
     with mp.workdps(ctx.digits + 10):
+        _, _, P, Q = _contour_integrals(V, c1, c0)
         eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits)
         eq = EquilibriumData(
             t=t, c0=c0, c1=c1, s_b=eng.s_b,
@@ -767,8 +787,8 @@ def reflect_potential(V, n):
 
 # --- JSON cache ---------------------------------------------------------
 
-_CACHE_VERSION = 2
-_CACHED = ("c1", "c0", "P", "Q")
+_CACHE_VERSION = 3
+_CACHED = ("c1", "c0")
 
 
 def _cache_path(cache_dir, V, t, digits):
@@ -778,7 +798,7 @@ def _cache_path(cache_dir, V, t, digits):
 
 
 def save_equilibrium(eq, V, cache_dir):
-    """Write eq's solve as the entry {version, digits, t, c1, c0, P, Q}."""
+    """Write eq's solve as the entry {version, digits, t, c1, c0}."""
     os.makedirs(cache_dir, exist_ok=True)
     digits = eq.digits
     doc = {k: num_to_str(getattr(eq, k), digits) for k in ("t",) + _CACHED}
@@ -790,7 +810,7 @@ def save_equilibrium(eq, V, cache_dir):
 
 
 def load_equilibrium(V, t, ctx, cache_dir):
-    """The cached solve (c1, c0, P, Q) for V, t and ctx.digits, or None."""
+    """The cached solve (c1, c0) for V, t and ctx.digits, or None."""
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
     path = _cache_path(cache_dir, V, t, ctx.digits)

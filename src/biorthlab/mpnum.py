@@ -1,11 +1,12 @@
 """Arbitrary-precision numerical substrate.
 
-Quadrature, one rule per kind of integrand (the first and the last are
-vector-valued and nested, so every node is evaluated once):
+Quadrature, one rule per kind of integrand (the first is vector-valued
+and nested, so every node is evaluated once):
 - integrate_trapezoid: entire, rapidly decaying integrands on the line;
 - integrate_gauss_legendre: smooth integrands on finite intervals;
-- integrate_tanh_sinh: finite intervals with endpoint singularities;
-- integrate_circle: periodic integrands on circle contours.
+- integrate_tanh_sinh: finite intervals with endpoint singularities.
+The coefficient solve's contour integrals need no rule: they are exact
+residues at infinity (equilibrium._contour_integrals).
 Gauss-Legendre stays: on airy_kernel_integral tanh-sinh needs about 3x
 the Airy evaluations for the same values (716 -> 2052 a call at 64
 digits, 458-1066 -> 2052-4100 at 96), and tanh-sinh as a change of
@@ -19,7 +20,7 @@ guarded working precision derived from it; callers never touch mp.dps.
 import hashlib
 import json
 from dataclasses import dataclass
-from mpmath import mp, mpf, mpc, cos, cosh, sinh, exp, pi, gamma
+from mpmath import mp, mpf, cos, cosh, sinh, exp, pi, gamma
 
 
 class NonConvergent(Exception):
@@ -238,49 +239,6 @@ def integrate_tanh_sinh(f, iv, ctx):
                 return +val
             prev = val
     raise NonConvergent("tanh-sinh stalled at level %d" % level)
-
-
-def integrate_circle(g, radius, ctx):
-    """(1/2 pi i) of the contour integral of a vector-valued g over
-    |s| = radius.
-
-    g(s) returns a sequence of complex values; the result is the list of
-    their contour integrals.  The equispaced trapezoidal rule is spectrally
-    accurate for integrands analytic in an annulus around the circle
-    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).  The node count
-    doubles from 16 until two successive levels agree in every component
-    to quad_rel_tol * (1 + |value|); each doubling evaluates g only at the
-    new odd nodes, so g runs once per node of the final level.  Raises
-    NonConvergent when max_panel_doublings + 1 doublings do not settle it.
-    """
-    r = mpf(radius)
-    if not r > mpf('0.5'):
-        raise ValueError("radius must exceed 1/2")
-    with mp.workdps(ctx.digits + _GUARD):
-        rel = mpf(ctx.quad_rel_tol)
-        acc = None
-
-        def add_nodes(count, offset):
-            # the nodes r e^{i (2k + offset) pi / count}, k < count
-            nonlocal acc
-            for k in range(count):
-                s = r * exp(mpc(0, (2 * k + offset) * pi / count))
-                terms = [v * s for v in g(s)]
-                acc = terms if acc is None else \
-                    [a + b for a, b in zip(acc, terms)]
-
-        nodes = 16
-        add_nodes(nodes, 0)
-        prev = [a / nodes for a in acc]
-        for _ in range(ctx.max_panel_doublings + 1):
-            add_nodes(nodes, 1)
-            nodes *= 2
-            cur = [a / nodes for a in acc]
-            if all(abs(c - p) <= rel * (1 + abs(c))
-                   for c, p in zip(cur, prev)):
-                return cur
-            prev = cur
-    raise NonConvergent("circle quadrature stalled at %d nodes" % nodes)
 
 
 def newton(step, z, tol):

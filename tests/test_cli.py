@@ -84,6 +84,13 @@ def test_load_config_coercions(tmp_path):
     assert cfg.grid == (("0", "0"), ("0.5", "-0.5"))
 
 
+def test_load_config_numbers_as_decimals(tmp_path):
+    # JSON numbers go through their decimal repr, never a binary float
+    path = _write_cfg(tmp_path, x_star=0, delta=0.15, delta_prime=0.2)
+    cfg = load_config(path)
+    assert (cfg.x_star, cfg.delta, cfg.delta_prime) == ("0", "0.15", "0.2")
+
+
 def test_config_hash_shape_and_sensitivity():
     base = RunConfig()
     h = config_hash(base)
@@ -168,6 +175,18 @@ def test_exit_validation_on_m_window_above_n(tmp_path, capsys):
     assert main(["--config", cfgp, "diagnostics"]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+# diagnostics need 0 < delta < 1, 0 < delta' < 1, and degrees through
+# n + floor(delta n) that construct can build (at most n + 8)
+@pytest.mark.parametrize("kw", [
+    {"delta": "-0.5", "delta_prime": "0.5"},
+    {"delta_prime": "1.5"},
+    {"n_list": [20], "delta": "1/2"},
+], ids=["delta", "delta_prime", "delta_n"])
+def test_exit_validation_on_diagnostics_delta(tmp_path, capsys, kw):
+    _assert_config_error(tmp_path, capsys, "diagnostics",
+                         dict({"m_window": 4}, **kw))
 
 
 def test_exit_numeric_on_nonconvergence(tmp_path, monkeypatch):
@@ -273,6 +292,20 @@ def test_universality_x_star_override(tmp_path):
     assert summary["per_n"]
 
 
+def test_universality_x_star_zero(tmp_path):
+    # a numeric 0 pins x* = 0 like "0" does, not the support midpoint
+    rows = []
+    for name, x_star in (("num", 0), ("str", "0")):
+        cfgp = _write_cfg(tmp_path, n_list=[4], digits=48, x_star=x_star,
+                          grid=[["0", "0"], ["0.5", "-0.5"]],
+                          cache_dir=str(tmp_path / "cache"),
+                          output_dir=str(tmp_path / name))
+        assert main(["--config", cfgp, "universality"]) == EXIT_OK
+        rows.append([r[:-1] for r in
+                     _read_csv(tmp_path / name / "universality.csv")])
+    assert rows[0] == rows[1]
+
+
 def test_diagnostics_command(tmp_path):
     cfgp = _write_cfg(tmp_path, n_list=[6], digits=48,
                       output_dir=str(tmp_path / "out"))
@@ -282,6 +315,8 @@ def test_diagnostics_command(tmp_path):
     assert rows[0][:3] == ["n", "digits", "identity_residual"]
     with mp.workdps(60):
         assert mpf(rows[1][2]) < mpf(10) ** -12
+    # the residual is printed to 3 significant digits
+    assert len(rows[1][2].split("e")[0].replace(".", "").lstrip("0")) <= 3
     arows = _read_csv(out / "alpha_limits.csv")
     assert arows[0][:2] == ["l", "alpha_l"]
     assert [r[0] for r in arows[1:]] == ["-1", "0", "1", "2", "3", "4"]

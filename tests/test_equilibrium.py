@@ -107,6 +107,51 @@ def test_support_collapses_at_small_t(quad, ctx64):
         assert 0 < width < mpf("0.5")
 
 
+# a sextic with odd terms: V'(J) has degree 5, so the residues use J's
+# series down to s^-5
+SEXTIC = ("1", "-1/3", "1", "1/5", "1/10", "0", "1/30")
+
+
+@pytest.mark.parametrize("coeffs", [QUARTIC, SEXTIC],
+                         ids=["quartic", "sextic"])
+@pytest.mark.parametrize("c1, c0", [("0.68", "0.26"), ("2.3", "-0.7")])
+def test_contour_integrals_match_quadrature(coeffs, c1, c0):
+    # the residues at infinity against mpmath's own quadrature over theta
+    # on |s| = 1, where (1/2 pi i) ds = s dtheta / (2 pi)
+    V = Potential(coeffs)
+    digits = 48
+    with mp.workdps(digits + 10):
+        c1, c0 = mpf(c1), mpf(c0)
+        exact = equilibrium._contour_integrals(V, c1, c0)
+        half = mpf("0.5")
+        seen = {}
+
+        def integrands(th):
+            # the four quadratures share their nodes; evaluate each once
+            if th not in seen:
+                s = mp.expj(th)
+                j = map_J(c1, c0, s)
+                vp, vpp = V.Vp(j), V.Vpp(j)
+                seen[th] = [g * s / (2 * pi) for g in (
+                    vp, vp / (s - half), vpp / (s - half), vpp / (s + half))]
+            return seen[th]
+
+        for k, value in enumerate(exact):
+            ref = mp.quad(lambda th: integrands(th)[k],
+                          [0, pi / 2, pi, 3 * pi / 2, 2 * pi])
+            assert abs(ref - value) < mpf(10) ** -digits * (1 + abs(value))
+
+
+def test_sextic_equilibrium_identities():
+    digits = 48
+    eq = build_equilibrium(Potential(SEXTIC), 1, PrecisionContext.for_digits(
+        digits))
+    with mp.workdps(digits + 10):
+        assert abs(determinant_identity_residual(eq)) < mpf(10) ** -(
+            digits // 2)
+        assert abs(eq._engine.mass - 1) < mpf(10) ** -(digits // 2)
+
+
 # --- J map ------------------------------------------------------------------
 
 def test_map_j_branch_cut_guard(ctx64):
@@ -330,7 +375,7 @@ def test_reflect_potential_quartic(quartic):
 def test_cache_round_trip(eq_unit, quad, ctx96, tmp_path):
     save_equilibrium(eq_unit, quad, str(tmp_path))
     back = load_equilibrium(quad, 1, ctx96, str(tmp_path))
-    assert back == (eq_unit.c1, eq_unit.c0, eq_unit.P, eq_unit.Q)
+    assert back == (eq_unit.c1, eq_unit.c0)
 
 
 def test_cache_keys_on_digits_and_t(eq_unit, quad, ctx96, ctx64, tmp_path):
@@ -349,4 +394,4 @@ def test_warm_build_matches(quad, ctx64, tmp_path):
     # the entry holds the solve alone
     entry, = tmp_path.glob("eq_*.json")
     assert set(json.loads(entry.read_text())) == {
-        "version", "digits", "t", "c0", "c1", "P", "Q"}
+        "version", "digits", "t", "c0", "c1"}

@@ -14,7 +14,6 @@ from biorthlab.mpnum import (
     SingularMinor,
     airy,
     gauss_legendre_nodes,
-    integrate_circle,
     integrate_gauss_legendre,
     integrate_tanh_sinh,
     integrate_trapezoid,
@@ -98,59 +97,6 @@ def test_tanh_sinh_endpoint_singularities():
         v2 = integrate_tanh_sinh(log, RealInterval(0, 1), CTX)
         assert abs(v1 - 2) < mpf(10) ** -40
         assert abs(v2 + 1) < mpf(10) ** -40
-
-
-def test_circle_residues():
-    with mp.workdps(60):
-        one, = integrate_circle(lambda s: (1 / s,), 1, CTX)
-        shifted, = integrate_circle(lambda s: (1 / (s - mpf('0.6')),), 1, CTX)
-        assert abs(one - 1) < mpf(10) ** -40
-        assert abs(shifted - 1) < mpf(10) ** -40
-
-
-def test_circle_radius_guard():
-    with pytest.raises(ValueError):
-        integrate_circle(lambda s: (1 / s,), 0.4, CTX)
-
-
-def test_circle_evaluates_each_node_once():
-    seen = []
-
-    def g(s):
-        seen.append(s)
-        return (1 / (s - mpf('0.6')),)
-
-    val, = integrate_circle(g, 1, CTX)
-    with mp.workdps(60):
-        assert abs(val - 1) < mpf(10) ** -40
-        count = len(seen)
-        assert count > 32 and count & (count - 1) == 0
-        # every node of the final count-node level, each exactly once
-        index = [int(mp.nint(mp.arg(s) * count / (2 * mp.pi))) % count
-                 for s in seen]
-        assert sorted(index) == list(range(count))
-        assert all(abs(s - mp.expjpi(2 * mpf(k) / count)) < mpf(10) ** -45
-                   for s, k in zip(seen, index))
-
-
-def test_circle_components_settle_separately():
-    # a pole at 0.1 settles by 128 nodes, one at 0.8 needs about 1024
-    calls = {"fast": 0, "both": 0}
-
-    def fast(s):
-        calls["fast"] += 1
-        return (1 / (s - mpf('0.1')),)
-
-    def both(s):
-        calls["both"] += 1
-        return (1 / (s - mpf('0.1')), 1 / (s - mpf('0.8')))
-
-    alone, = integrate_circle(fast, 1, CTX)
-    near, far = integrate_circle(both, 1, CTX)
-    assert calls["fast"] < calls["both"]
-    with mp.workdps(60):
-        for v in (alone, near, far):
-            assert abs(v - 1) < mpf(10) ** -40
 
 
 def _square_plus_one_step(w):
