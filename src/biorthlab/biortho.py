@@ -8,14 +8,13 @@ the p coefficients invert the unit lower factor, the q coefficients invert
 the transposed unit upper factor, and the pivots are the norming constants.
 """
 
-import json
 import os
 from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
 
 from .mpnum import (RealInterval, NonConvergent, _horner, newton,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
-                    integrate_trapezoid, num_to_str)
+                    integrate_trapezoid, num_to_str, save_json, load_json)
 
 # construct builds degrees up to n + MAX_EXTRA_DEGREES, no further
 MAX_EXTRA_DEGREES = 8
@@ -281,6 +280,7 @@ _SCHEMA_VERSION = 1
 
 
 def save_system(sys, path):
+    """Write sys to path as JSON, in one atomic step (mpnum.save_json)."""
     digits = sys.digits
     doc = {
         "version": _SCHEMA_VERSION, "n": sys.n, "m": sys.m,
@@ -295,9 +295,7 @@ def save_system(sys, path):
         "potential": list(sys.V.coeff_strings()),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-    return path
+    return save_json(path, doc)
 
 
 def load_system(path, ctx, V=None):
@@ -306,11 +304,11 @@ def load_system(path, ctx, V=None):
     Full revalidation would redo every pairing integral, so the loader
     samples the diagonal at the top degree and two off-diagonal pairings,
     all three from one trapezoidal pass over the support window that
-    evaluates the weight e^{-nV} and e^x once per node.
+    evaluates the weight e^{-nV} and e^x once per node.  A malformed file
+    raises an OSError naming path (mpnum.load_json).
     """
     from .equilibrium import Potential
-    with open(path) as f:
-        doc = json.load(f)
+    doc = load_json(path)
     digits = doc["digits"]
     if V is None:
         V = Potential(doc["potential"])

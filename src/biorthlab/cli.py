@@ -123,8 +123,13 @@ class RunConfig:
 
 
 def load_config(path):
+    """The RunConfig of the JSON object at path; any other JSON document
+    (a list, a string, a number) is a ConfigError."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object, got %s"
+                          % type(raw).__name__)
     known = {f for f in RunConfig.__dataclass_fields__}
     bad = set(raw) - known
     if bad:

@@ -11,7 +11,6 @@ makes the endpoint-derivative and Jacobian-determinant identities hold as
 stated, so the square-root edge law reads t * psi(b - eps) ~ beta * sqrt(eps).
 """
 
-import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,8 @@ from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
                     conj, im, re)
 
 from .mpnum import (RealInterval, NonConvergent, _horner, newton,
-                    integrate_tanh_sinh, num_to_str, cache_key)
+                    integrate_tanh_sinh, num_to_str, cache_key, save_json,
+                    load_json)
 
 
 class OnBranchCut(Exception):
@@ -798,25 +798,25 @@ def _cache_path(cache_dir, V, t, digits):
 
 
 def save_equilibrium(eq, V, cache_dir):
-    """Write eq's solve as the entry {version, digits, t, c1, c0}."""
+    """Write eq's solve as the entry {version, digits, t, c1, c0}, in one
+    atomic step (mpnum.save_json)."""
     os.makedirs(cache_dir, exist_ok=True)
     digits = eq.digits
     doc = {k: num_to_str(getattr(eq, k), digits) for k in ("t",) + _CACHED}
     doc.update(version=_CACHE_VERSION, digits=digits)
-    path = _cache_path(cache_dir, V, eq.t, digits)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-    return path
+    return save_json(_cache_path(cache_dir, V, eq.t, digits), doc)
 
 
 def load_equilibrium(V, t, ctx, cache_dir):
-    """The cached solve (c1, c0) for V, t and ctx.digits, or None."""
+    """The cached solve (c1, c0) for V, t and ctx.digits, or None.
+
+    A malformed entry raises an OSError naming its path (mpnum.load_json).
+    """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
     path = _cache_path(cache_dir, V, t, ctx.digits)
     if not os.path.exists(path):
         return None
-    with open(path) as f:
-        doc = json.load(f)
+    doc = load_json(path)
     with mp.workdps(ctx.digits + 10):
         return tuple(mpf(doc[k]) for k in _CACHED)

@@ -1,26 +1,25 @@
 """Arbitrary-precision numerical substrate.
 
-Quadrature, one rule per kind of integrand (the first is vector-valued
-and nested, so every node is evaluated once):
-- integrate_trapezoid: entire, rapidly decaying integrands on the line;
-- integrate_gauss_legendre: smooth integrands on finite intervals;
+Quadrature, one rule per kind of integrand:
+- integrate_trapezoid: entire, rapidly decaying integrands on the line
+  (vector-valued and nested, so every node is evaluated once);
 - integrate_tanh_sinh: finite intervals with endpoint singularities.
-The coefficient solve's contour integrals need no rule: they are exact
-residues at infinity (equilibrium._contour_integrals).
-Gauss-Legendre stays: on airy_kernel_integral tanh-sinh needs about 3x
-the Airy evaluations for the same values (716 -> 2052 a call at 64
-digits, 458-1066 -> 2052-4100 at 96), and tanh-sinh as a change of
-variables into the trapezoid slowed the density dual-route test 30 -> 55 s.
+Two integrals need no rule, since they have exact forms: the coefficient
+solve's contour integrals are residues at infinity
+(equilibrium._contour_integrals), and the truncated Airy overlap is a
+difference of two Airy kernels (kernel.airy_kernel_integral).
 
-Also Newton's iteration, LDU, Airy and the JSON caches' serializer and key,
-on mpmath reals.  Every routine takes a PrecisionContext and runs at a
-guarded working precision derived from it; callers never touch mp.dps.
+Also Newton's iteration, LDU, Airy (from mpmath) and the JSON caches'
+serializer, key and atomic file I/O, on mpmath reals.  Every routine takes
+a PrecisionContext and runs at a guarded working precision derived from
+it; callers never touch mp.dps.
 """
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
-from mpmath import mp, mpf, cos, cosh, sinh, exp, pi, gamma
+from mpmath import mp, mpf, cosh, sinh, exp, pi, airyai
 
 
 class NonConvergent(Exception):
@@ -80,72 +79,6 @@ def _horner(c, x):
     for k in range(len(c) - 2, -1, -1):
         s = s * x + c[k]
     return s
-
-
-_gl_cache = {}
-
-
-def gauss_legendre_nodes(order):
-    """Nodes and weights on [-1, 1], cached per (order, precision)."""
-    key = (order, mp.prec)
-    if key in _gl_cache:
-        return _gl_cache[key]
-
-    def legendre(x):
-        # P_order(x) and its derivative by the three-term recurrence
-        p0, p1 = mpf(1), x
-        for k in range(2, order + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, order * (x * p1 - p0) / (x * x - 1)
-
-    def step(x):
-        p, dp = legendre(x)
-        return p / dp
-
-    xs, ws = [], []
-    tol = mpf(10) ** (-mp.dps + 3)
-    for i in range(1, order + 1):
-        x = newton(step, cos(pi * (i - mpf('0.25')) / (order + mpf('0.5'))),
-                   tol)
-        dp = legendre(x)[1]
-        xs.append(x)
-        ws.append(2 / ((1 - x * x) * dp * dp))
-    _gl_cache[key] = (xs, ws)
-    return xs, ws
-
-
-def _panel_sum(f, lo, hi, panels, xs, ws):
-    total = mpf(0)
-    width = (hi - lo) / panels
-    for p in range(panels):
-        c = lo + width * (p + mpf('0.5'))
-        r = width / 2
-        for x, w in zip(xs, ws):
-            total += w * f(c + r * x)
-        # weights sum to 2 on [-1,1]; scale once per panel
-    return total * width / 2
-
-
-def integrate_gauss_legendre(f, iv, ctx):
-    """Panel-doubling Gauss-Legendre on a finite interval.
-
-    Doubles the panel count until two successive refinements agree to
-    quad_rel_tol * (1 + |I|).  Raises NonConvergent when the doubling
-    budget runs out.
-    """
-    lo, hi = mpf(iv.lo), mpf(iv.hi)
-    order = max(32, int(mpf('0.8') * ctx.digits))
-    with mp.workdps(ctx.digits + _GUARD):
-        xs, ws = gauss_legendre_nodes(order)
-        panels = 1
-        prev = _panel_sum(f, lo, hi, panels, xs, ws)
-        for _ in range(ctx.max_panel_doublings):
-            panels *= 2
-            cur = _panel_sum(f, lo, hi, panels, xs, ws)
-            if abs(cur - prev) <= mpf(ctx.quad_rel_tol) * (1 + abs(cur)):
-                return +cur
-            prev = cur
-    raise NonConvergent("gauss-legendre stalled at %d panels" % panels)
 
 
 def integrate_trapezoid(f, iv, ctx, tol=None):
@@ -317,44 +250,13 @@ def invert_unit_lower(L):
 
 
 def airy(x, ctx):
-    """Airy Ai and Ai' from the Maclaurin series alone.
+    """Airy Ai(x) and Ai'(x), rounded to ctx.digits.
 
-    The two power series both grow like exp((2/3)|x|^{3/2}) while Ai decays,
-    so the sum cancels about (4/3)|x|^{3/2}/ln 10 digits; the working
-    precision is boosted by that much before summing.  Accurate to relative
-    10^(-digits+12) on the ranges this package touches.
+    mpmath's airyai, evaluated at _GUARD extra digits.
     """
     x = mpf(x)
-    boost = int(mpf('0.62') * abs(x) ** mpf('1.5')) + 15
-    with mp.workdps(ctx.digits + boost + _GUARD):
-        x = +x
-        c1 = mpf(3) ** mpf(-2 / mpf(3)) / gamma(mpf(2) / 3)
-        c2 = mpf(3) ** mpf(-1 / mpf(3)) / gamma(mpf(1) / 3)
-        x3 = x ** 3
-        # f, g solve w'' = x w with w(0)=1,w'(0)=0 and w(0)=0,w'(0)=1
-        tf, tg = mpf(1), x          # current terms of f and g
-        tfp, tgp = x * x / 2, mpf(1)  # current terms of f' and g'
-        f, g, fp, gp = tf, tg, tfp, tgp
-        peak = mpf(1)
-        k = 0
-        while True:
-            tf *= x3 / ((3 * k + 2) * (3 * k + 3))
-            tg *= x3 / ((3 * k + 3) * (3 * k + 4))
-            tfp *= x3 / ((3 * k + 3) * (3 * k + 5))
-            tgp *= x3 / ((3 * k + 1) * (3 * k + 3))
-            f += tf
-            g += tg
-            fp += tfp
-            gp += tgp
-            peak = max(peak, abs(tf), abs(tg))
-            k += 1
-            if max(abs(tf), abs(tg), abs(tfp), abs(tgp)) < \
-                    peak * mpf(10) ** (-(ctx.digits + boost)) and k > 4:
-                break
-            if k > 100000:
-                raise NonConvergent("airy series did not terminate")
-        ai = c1 * f - c2 * g
-        aip = c1 * fp - c2 * gp
+    with mp.workdps(ctx.digits + _GUARD):
+        ai, aip = airyai(x), airyai(x, derivative=1)
     with mp.workdps(ctx.digits):
         return +ai, +aip
 
@@ -375,3 +277,32 @@ def cache_key(fields):
     """24 hex digits of the SHA-256 of the fields as sorted-key JSON."""
     blob = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+def save_json(path, doc):
+    """Write doc to path as JSON (indent 1, sorted keys), atomically.
+
+    The bytes go to a temporary file beside path, named so that no cache
+    glob matches it, which then replaces path in one step; an interrupted
+    or failed write leaves path as it was and removes the temporary file.
+    """
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    return path
+
+
+def load_json(path):
+    """The JSON document at path; malformed JSON raises an OSError naming
+    path, as a truncated or corrupt entry is an I/O failure."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:
+            raise OSError("malformed JSON in %s: %s" % (path, exc)) from None

@@ -19,8 +19,7 @@ from biorthlab.biortho import (
     zeros,
 )
 from biorthlab.equilibrium import Potential
-from biorthlab.mpnum import (NonConvergent, PrecisionContext, _horner,
-                             integrate_gauss_legendre)
+from biorthlab.mpnum import NonConvergent, PrecisionContext, _horner
 
 from conftest import ctx_for
 
@@ -86,14 +85,15 @@ def test_defect_against_fresh_quadrature(sys8, quad):
             assert abs(got) < mpf(10) ** -60 * hmax, (i, j)
 
 
-def test_moment_rect_matches_gauss_legendre(quartic):
-    # an independent rule on the same window: panel-doubled Gauss-Legendre
+def test_moment_rect_matches_quadrature(quartic):
+    # an independent rule on the same window: mpmath's own quadrature
     n, ctx = 6, ctx_for(6)
     rect, win = _moment_rect(quartic, n, 8, 8, ctx)
     with mp.workdps(ctx.digits + 10):
         for i, j in [(0, 0), (1, 0), (3, 4), (7, 7), (0, 7), (6, 2)]:
-            want = integrate_gauss_legendre(
-                lambda x: x ** i * exp(j * x - n * quartic.V(x)), win, ctx)
+            want = mp.quad(
+                lambda x: x ** i * exp(j * x - n * quartic.V(x)),
+                [win.lo, win.hi])
             assert abs(rect[i][j] - want) < mpf(10) ** -60 * rect[0][j], (i, j)
 
 

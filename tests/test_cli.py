@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -160,6 +161,20 @@ def _assert_config_error(tmp_path, capsys, command, kw):
     assert not (tmp_path / "out").exists()
 
 
+# a config document that is not an object is refused before anything else
+@pytest.mark.parametrize("doc", ['[]', '"abc"', '5', '[["n_list", [4]]]'],
+                         ids=["list", "string", "number", "pairs"])
+def test_exit_validation_on_non_object_config(tmp_path, capsys, doc):
+    cfgp = tmp_path / "bad.json"
+    cfgp.write_text(doc)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfgp), "--out", str(out), "verify"]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "JSON object" in err
+    assert not out.exists()
+
+
 def test_exit_validation_on_bulk_x_star_outside_support(tmp_path, capsys):
     cfgp = _write_cfg(tmp_path, n_list=[4], digits=48, x_star="5",
                       output_dir=str(tmp_path / "out"))
@@ -195,6 +210,62 @@ def test_exit_numeric_on_nonconvergence(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._COMMANDS, "biortho", boom)
     assert main(["--out", str(tmp_path), "biortho"]) == EXIT_NUMERIC
+
+
+# --- cache entries ------------------------------------------------------------
+
+_CACHED_RUN = dict(n_list=[4], digits=48, grid=[["0", "0"]])
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    # one cold universality run leaves one eq_ and one biortho_ entry
+    root = tmp_path_factory.mktemp("warm")
+    cfgp = _write_cfg(root, output_dir=str(root / "out"),
+                      cache_dir=str(root / "cache"), **_CACHED_RUN)
+    assert main(["--config", cfgp, "universality"]) == EXIT_OK
+    return root / "cache"
+
+
+def _run_on_cache(tmp_path, warm_cache, drop=None):
+    # universality on a copy of warm_cache, less its entry named drop
+    cache = tmp_path / "cache"
+    shutil.copytree(warm_cache, cache)
+    if drop is not None:
+        for entry in cache.glob(drop + "*.json"):
+            entry.unlink()
+    cfgp = _write_cfg(tmp_path, output_dir=str(tmp_path / "out"),
+                      cache_dir=str(cache), **_CACHED_RUN)
+    return cache, lambda: main(["--config", cfgp, "universality"])
+
+
+@pytest.mark.parametrize("prefix, size", [("eq_", 40), ("biortho_", 100)])
+def test_exit_io_on_cut_cache_entry(tmp_path, capsys, warm_cache, prefix,
+                                    size):
+    # an entry cut short by an interrupted write is an i/o error naming it
+    cache, run = _run_on_cache(tmp_path, warm_cache)
+    entry, = cache.glob(prefix + "*.json")
+    entry.write_bytes(entry.read_bytes()[:size])
+    assert run() == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(entry) in err
+
+
+@pytest.mark.parametrize("prefix", ["eq_", "biortho_"])
+def test_failed_cache_write_leaves_nothing(tmp_path, capsys, monkeypatch,
+                                           warm_cache, prefix):
+    # a write that fails halfway leaves neither the entry nor a temp file
+    cache, run = _run_on_cache(tmp_path, warm_cache, drop=prefix)
+    before = sorted(os.listdir(cache))
+
+    def dump_half(doc, fh, **kw):
+        fh.write(json.dumps(doc, **kw)[:40])
+        raise OSError("synthetic: no space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    assert run() == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert sorted(os.listdir(cache)) == before
 
 
 # --- commands -----------------------------------------------------------------

@@ -29,7 +29,7 @@ from biorthlab.kernel import (
     sine_kernel,
     _f_prime,
 )
-from biorthlab.mpnum import PrecisionContext, integrate_gauss_legendre
+from biorthlab.mpnum import PrecisionContext
 
 from conftest import ctx_for
 
@@ -120,6 +120,24 @@ def test_airy_kernel_integral_identity(pair, ctx96):
         assert abs(got - want) < mpf(10) ** -8 * abs(want)
 
 
+@pytest.mark.parametrize("xi, eta, L", [("0", "1", 12), ("0.4", "0.4", 12),
+                                        ("-1", "0.5", 3)])
+def test_airy_kernel_integral_matches_quadrature(xi, eta, L):
+    # the closed form against mpmath's own quadrature of the integrand
+    ctx = PrecisionContext.for_digits(48)
+    with mp.workdps(58):
+        xi, eta = mpf(xi), mpf(eta)
+        got = airy_kernel_integral(xi, eta, L, ctx)
+        want = mp.quad(lambda y: mp.airyai(xi + y) * mp.airyai(eta + y),
+                       [0, L])
+        assert abs(got - want) < mpf(10) ** -40 * abs(want)
+
+
+def test_airy_kernel_integral_needs_positive_length():
+    with pytest.raises(ValueError):
+        airy_kernel_integral(0, 1, 0, PrecisionContext.for_digits(48))
+
+
 def test_exp_trunc_partial_sums():
     with mp.workdps(60):
         z = mpc("1.3", "-2.1")
@@ -157,20 +175,18 @@ def test_alpha_limit_multiples_of_e(eq_unit):
 # --- raw kernel structure ----------------------------------------------------
 
 def test_trace_matches_rank(sys4):
-    ctx = PrecisionContext.for_digits(64)
     with mp.workdps(80):
-        val = integrate_gauss_legendre(lambda s: kernel_raw(sys4, s, s),
-                                       sys4.support_window, ctx)
+        win = [sys4.support_window.lo, sys4.support_window.hi]
+        val = mp.quad(lambda s: kernel_raw(sys4, s, s), win)
         assert abs(val - 4) < mpf(10) ** -40
 
 
 def test_projection_identity(sys4):
-    ctx = PrecisionContext.for_digits(64)
     with mp.workdps(80):
         x, y = mpf("0.1"), mpf("0.3")
-        val = integrate_gauss_legendre(
-            lambda s: kernel_raw(sys4, x, s) * kernel_raw(sys4, s, y),
-            sys4.support_window, ctx)
+        win = [sys4.support_window.lo, sys4.support_window.hi]
+        val = mp.quad(
+            lambda s: kernel_raw(sys4, x, s) * kernel_raw(sys4, s, y), win)
         assert abs(val - kernel_raw(sys4, x, y)) < mpf(10) ** -40
 
 

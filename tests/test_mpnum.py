@@ -3,8 +3,6 @@
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp, mpf, mpc, binomial, exp, log, sqrt, gamma
 
 from biorthlab.mpnum import (
@@ -13,8 +11,6 @@ from biorthlab.mpnum import (
     RealInterval,
     SingularMinor,
     airy,
-    gauss_legendre_nodes,
-    integrate_gauss_legendre,
     integrate_tanh_sinh,
     integrate_trapezoid,
     invert_unit_lower,
@@ -46,32 +42,6 @@ def test_interval_ordering():
     RealInterval(-1, 1)
     with pytest.raises(ValueError):
         RealInterval(2, 2)
-
-
-def test_gl_nodes_weights():
-    with mp.workdps(60):
-        xs, ws = gauss_legendre_nodes(12)
-        assert abs(sum(ws) - 2) < mpf(10) ** -55
-        # node set is symmetric about the origin
-        assert all(abs(x + y) < mpf(10) ** -55 for x, y in zip(xs, reversed(xs)))
-        # order-12 rule integrates monomials through degree 23
-        for k in (2, 10, 22):
-            got = sum(w * x ** k for x, w in zip(xs, ws))
-            assert abs(got - mpf(2) / (k + 1)) < mpf(10) ** -52
-
-
-def test_gl_integrates_exp():
-    val = integrate_gauss_legendre(exp, RealInterval(0, 1), CTX)
-    with mp.workdps(60):
-        assert abs(val - (exp(1) - 1)) < mpf(10) ** -45
-
-
-def test_gl_nonconvergent_on_jump(monkeypatch):
-    # a small budget keeps the test fast; the default one takes seconds
-    monkeypatch.setattr(PrecisionContext, "max_panel_doublings", 2)
-    f = lambda x: mpf(1) if x > mpf('0.1234567') else mpf(0)
-    with pytest.raises(NonConvergent):
-        integrate_gauss_legendre(f, RealInterval(0, 1), CTX)
 
 
 def test_trapezoid_integrates_gaussian_moments():
@@ -201,14 +171,3 @@ def test_airy_against_reference(x):
         refp = mp.airyai(mpf(x), derivative=1)
         assert abs(ai - ref) < mpf(10) ** -36 * (1 + abs(ref))
         assert abs(aip - refp) < mpf(10) ** -36 * (1 + abs(refp))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4))
-def test_gl_exact_on_cubics(coeffs):
-    with mp.workdps(60):
-        c = [mpf(v) for v in coeffs]
-        f = lambda x: ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
-        got = integrate_gauss_legendre(f, RealInterval(-1, 2), CTX)
-        anti = lambda x: ((c[3] * x / 4 + c[2] / 3) * x + c[1] / 2) * x ** 2 + c[0] * x
-        assert abs(got - (anti(mpf(2)) - anti(mpf(-1)))) < mpf(10) ** -35
