@@ -14,7 +14,8 @@ from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
 
 from .mpnum import (RealInterval, NonConvergent, _horner, newton,
                     SingularMinor, ldu_bidiagonalize, invert_unit_lower,
-                    integrate_trapezoid, num_to_str, save_json, load_json)
+                    integrate_trapezoid, num_to_str, str_to_num, json_int,
+                    save_json, load_json)
 
 # construct builds degrees up to n + MAX_EXTRA_DEGREES, no further
 MAX_EXTRA_DEGREES = 8
@@ -304,25 +305,35 @@ def load_system(path, ctx, V=None):
     Full revalidation would redo every pairing integral, so the loader
     samples the diagonal at the top degree and two off-diagonal pairings,
     all three from one trapezoidal pass over the support window that
-    evaluates the weight e^{-nV} and e^x once per node.  A malformed file
-    raises an OSError naming path (mpnum.load_json).
+    evaluates the weight e^{-nV} and e^x once per node.  A malformed file,
+    or one of the wrong shape (a missing key, a wrong type, a non-numeric
+    string, h or a coefficient row of the wrong length), raises an
+    OSError naming path (mpnum.load_json); a failed defect check raises
+    NonConvergent.
     """
     from .equilibrium import Potential
-    doc = load_json(path)
-    digits = doc["digits"]
-    if V is None:
-        V = Potential(doc["potential"])
+
+    def parse(doc):
+        digits, n, m = (json_int(doc[k]) for k in ("digits", "n", "m"))
+        with mp.workdps(digits + 10):
+            p, q = ([[str_to_num(c) for c in row] for row in doc[k]]
+                    for k in ("p_coeffs", "q_coeffs"))
+            h = [str_to_num(v) for v in doc["h"]]
+            if not len(p) == len(q) == len(h) == m + 1 or any(
+                    len(row) != j + 1 for rows in (p, q)
+                    for j, row in enumerate(rows)):
+                raise ValueError("h or a coefficient row disagrees with "
+                                 "m = %d" % m)
+            lo, hi = (str_to_num(v) for v in doc["window"])
+            return BiorthoSystem(
+                n=n, m=m, p_coeffs=tuple(tuple(row) for row in p),
+                q_coeffs=tuple(tuple(row) for row in q), h=tuple(h),
+                support_window=RealInterval(lo, hi), digits=digits,
+                V=Potential(doc["potential"]) if V is None else V)
+
+    sys = load_json(path, parse)
+    digits, V = sys.digits, sys.V
     with mp.workdps(digits + 10):
-        sys = BiorthoSystem(
-            n=doc["n"], m=doc["m"],
-            p_coeffs=tuple(tuple(mpf(c) for c in row)
-                           for row in doc["p_coeffs"]),
-            q_coeffs=tuple(tuple(mpf(c) for c in row)
-                           for row in doc["q_coeffs"]),
-            h=tuple(mpf(v) for v in doc["h"]),
-            support_window=RealInterval(mpf(doc["window"][0]),
-                                        mpf(doc["window"][1])),
-            digits=digits, V=V)
         hmax = max(sys.h)
         bound = mpf(10) ** (-digits // 3) * hmax
         n = sys.n

@@ -12,14 +12,15 @@ stated, so the square-root edge law reads t * psi(b - eps) ~ beta * sqrt(eps).
 """
 
 import os
+from math import gcd
 from dataclasses import dataclass, field
 from fractions import Fraction
 from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
                     conj, im, re)
 
 from .mpnum import (RealInterval, NonConvergent, _horner, newton,
-                    integrate_tanh_sinh, num_to_str, cache_key, save_json,
-                    load_json)
+                    integrate_tanh_sinh, num_to_str, str_to_num, json_int,
+                    cache_key, save_json, load_json)
 
 
 class OnBranchCut(Exception):
@@ -337,10 +338,18 @@ class _SigmaSeries:
     sigma(theta) = I_+(mid + rad*cos(theta)) is analytic and periodic on the
     torus, so everything downstream (density, moments, log-potentials, the
     Lagrange constant) becomes a rapidly convergent trigonometric series.
-    All heavy sums run once at construction, on N nodes sized by _chop
-    from _PILOT_NODES up; N is the attribute N and the certified tail of
+    The engine is its solved series: sigma's Fourier coefficients Ak, Bk
+    on N nodes, the density psi_v at those nodes and its Chebyshev
+    coefficients hc.  Every other array derives from these (_measure).
+
+    Cold (series None), all heavy sums run once at construction, on N
+    nodes sized by _chop from _PILOT_NODES up; the certified tail of
     sigma's coefficients is tail.  Raises NonConvergent when the series
-    needs more than _max_nodes(digits) nodes.
+    needs more than _max_nodes(digits) nodes.  Restored (series the dict
+    of Ak, Bk, hc and psi_v that load_equilibrium returns), no inversion
+    and no double-log sum runs: the stored series must pass the same chop
+    tests, which also recompute tail, and a spot check at one node
+    (_restore), or NonConvergent is raised.
 
     invert solves J(s) = x to the engine's own tolerance
     10^-(digits + 4), fixed here, whatever precision its caller runs at:
@@ -348,7 +357,7 @@ class _SigmaSeries:
     nothing, and next to an edge, where J' vanishes, it is never met.
     """
 
-    def __init__(self, V, t, c1, c0, P, Q, digits):
+    def __init__(self, V, t, c1, c0, P, Q, digits, series=None):
         self.V = V
         self.t = t
         self.c1, self.c0 = c1, c0
@@ -363,30 +372,77 @@ class _SigmaSeries:
         self.alpha = (A_ * P + B_ * Q) / (pi * sqrt(s_b))
         self.beta = (B_ * P + A_ * Q) / (pi * sqrt(s_b))
         self.tol = mpf(10) ** -(digits + 4)
+        if series is None:
+            cn, sn = self._solve(digits)
+        else:
+            cn, sn = self._restore(digits, **series)
+        self._measure(cn, sn)
+
+    def _sigma_grow(self, digits):
+        """The node count _chop asks of sigma's series, None once it has
+        settled; sets tail."""
+        self.tail, grow = _chop(
+            [max(abs(u), abs(v)) for u, v in zip(self.Ak, self.Bk)],
+            mpf(10) ** -(digits + _CHOP_GUARD))
+        return grow
+
+    def _density_grow(self, digits):
+        """The node count _chop asks of the density's series, or None."""
+        return _chop(self.hc, mpf(10) ** -digits)[1]
+
+    def _solve(self, digits):
+        """The cold route; returns cos and sin at the N nodes."""
         cap = _max_nodes(digits)
-        sig_tol = mpf(10) ** -(digits + _CHOP_GUARD)
-        h_tol = mpf(10) ** -digits
         N = min(_PILOT_NODES, cap)
         self.Ak = self.Bk = None
         while True:
-            ct, st = self._fourier(N)
-            self.tail, grow = _chop(
-                [max(abs(u), abs(v)) for u, v in zip(self.Ak, self.Bk)],
-                sig_tol)
+            ct, st, sig = self._fourier(N)
+            grow = self._sigma_grow(digits)
             if grow is None:
-                self._density(ct, st)
-                _, grow = _chop(self.hc, h_tol)
+                self._density(sig, ct, st)
+                grow = self._density_grow(digits)
                 if grow is None:
-                    break
+                    return ct[1:2 * N:2], st[1:2 * N:2]
             if N >= cap:
                 raise NonConvergent("Fourier engine needs more than %d "
                                     "nodes" % cap)
             N = min(grow, cap)
-        self.ell = self.ell_at(self.mid)
+
+    def _restore(self, digits, Ak, Bk, hc, psi_v):
+        """The loaded route; returns cos and sin at the N nodes.
+
+        Beyond the chop tests, at one node x0 the restored sigma must
+        solve J(s) = x0 to 10^-digits (1 + |x0|), and the density's
+        Chebyshev series must give psi_v there to 10^-digits of the
+        largest psi_v.  A cold engine's series meets both at the working
+        precision's rounding level, about 10^-(digits + 10).  The node's
+        angle (2i+1) pi/(2N), with 2i+1 prime to N, is no multiple of
+        pi/(2N) times an index below N, so no term of either series
+        vanishes there; i starts at N/3, away from the edge at b, where
+        J' vanishes.
+        """
+        self.N = N = len(Ak)
+        self.Ak, self.Bk, self.hc, self.psi_v = Ak, Bk, hc, psi_v
+        if self._sigma_grow(digits) is not None or \
+                self._density_grow(digits) is not None:
+            raise NonConvergent("cached Fourier series fails its chop test")
+        cn = [cos((2 * i + 1) * pi / (2 * N)) for i in range(N)]
+        sn = [sin((2 * i + 1) * pi / (2 * N)) for i in range(N)]
+        i = next(i for i in range(N // 3, N) if gcd(2 * i + 1, N) == 1)
+        th0 = (2 * i + 1) * pi / (2 * N)
+        x0 = self.mid + self.rad * cn[i]
+        J_err = abs(map_J(self.c1, self.c0, self.sigma(th0)) - x0)
+        psi_err = abs(self._clenshaw_h(th0) * self.rad * sn[i] - psi_v[i])
+        bound = mpf(10) ** -digits
+        if J_err > bound * (1 + abs(x0)) or \
+                psi_err > bound * max(abs(v) for v in psi_v):
+            raise NonConvergent("cached Fourier series fails the spot "
+                                "check at x = %s" % mp.nstr(x0, 8))
+        return cn, sn
 
     def _fourier(self, N):
         """sigma at N nodes and its coefficients Ak, Bk; returns the
-        cos and sin tables of the lattice."""
+        cos and sin tables of the lattice and sigma at the nodes."""
         self.N = N
         # the nodes are th[i] = (2i+1) pi/(2N) and phi[j] = (2(j-N)+1) pi/(2N),
         # so every angle in the sums below is a multiple of pi/(2N): k*th[i]
@@ -410,7 +466,6 @@ class _SigmaSeries:
             if im(s) < 0:
                 s = conj(s)
             sig.append(s)
-        self.sig = sig
         sig_re = [re(v) for v in sig]
         sig_im = [im(v) for v in sig]
         self.Ak = []
@@ -421,12 +476,12 @@ class _SigmaSeries:
         for k in range(1, N):
             sb_ = mp.fdot(sig_im, [st[(2 * i + 1) * k % M4] for i in range(N)])
             self.Bk.append(sb_ * 2 / N)
-        return ct, st
+        return ct, st, sig
 
-    def _density(self, ct, st):
+    def _density(self, sig, ct, st):
         """psi at the nodes by the double-log sum, then its Chebyshev
-        coefficients hc, the moments gam and the mass."""
-        V, t, N, sig = self.V, self.t, self.N, self.sig
+        coefficients hc."""
+        V, t, N = self.V, self.t, self.N
         M4 = 4 * N
         sigf = [conj(sig[N - 1 - j]) if j < N else sig[j - N]
                 for j in range(2 * N)]
@@ -484,13 +539,19 @@ class _SigmaSeries:
                           for j in range(2 * N) if j - N != i)
             Ti *= pi / N
             self.psi_v.append(-(L + Ti) / (2 * pi * pi * t))
-        # Chebyshev coefficients of psi/(rad sin) and of the measure itself
+        # Chebyshev coefficients of psi/(rad sin)
         hval = [self.psi_v[i] / (self.rad * st[2 * i + 1])
                 for i in range(N)]
         self.hc = []
         for k in range(N):
             sa = mp.fdot(hval, [ct[(2 * i + 1) * k % M4] for i in range(N)])
             self.hc.append(sa * (1 if k == 0 else 2) / N)
+
+    def _measure(self, cn, sn):
+        """From hc and psi_v, with cn, sn the cos and sin at the nodes: the
+        moments gam, the mass, the quadrature weights Gw at the nodes gx,
+        and the Lagrange constant ell."""
+        N = self.N
         r2 = self.rad * self.rad
         g = [mpf(0)] * (N + 2)
         for k in range(N):
@@ -499,9 +560,9 @@ class _SigmaSeries:
             g[abs(k - 2)] -= self.hc[k] / 4
         self.gam = [r2 * v for v in g]
         self.mass = self.gam[0] * pi
-        self.Gw = [self.psi_v[i] * self.rad * st[2 * i + 1]
-                   for i in range(N)]
-        self.gx = [self.mid + self.rad * ct[2 * i + 1] for i in range(N)]
+        self.Gw = [self.psi_v[i] * self.rad * sn[i] for i in range(N)]
+        self.gx = [self.mid + self.rad * cn[i] for i in range(N)]
+        self.ell = self.ell_at(self.mid)
 
     def invert(self, x, s0):
         """The root of J(s) = x that Newton's iteration reaches from s0."""
@@ -581,9 +642,11 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
     and the Lagrange constant.  It sizes its Fourier node count from the
     decay of its own coefficients (see _SigmaSeries), never above the
     max(96, 4*digits) nodes of the unsized engine.  The cache entry holds
-    the solve alone, (c1, c0): a hit skips the coefficient solve, and
-    everything else, the contour integrals P and Q and the engine
-    included, is rebuilt from it on every call.
+    the solve (c1, c0) and the engine's solved series: a hit skips the
+    coefficient solve and every heavy sum of the engine, restoring the
+    series after a spot check, and rebuilds only the cheap rest (the
+    contour integrals P and Q, the moments, ell and the argmins), to the
+    same bits as a cold build.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
@@ -591,10 +654,10 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
         raise ValueError("t must be positive")
     cached = (load_equilibrium(V, t, ctx, cache_dir)
               if cache_dir is not None else None)
-    c1, c0 = cached or solve_coefficients(V, t, ctx)
+    c1, c0, series = cached or solve_coefficients(V, t, ctx) + (None,)
     with mp.workdps(ctx.digits + 10):
         _, _, P, Q = _contour_integrals(V, c1, c0)
-        eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits)
+        eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits, series)
         eq = EquilibriumData(
             t=t, c0=c0, c1=c1, s_b=eng.s_b,
             a=eng.a, b=eng.b, alpha=eng.alpha, beta=eng.beta,
@@ -787,8 +850,10 @@ def reflect_potential(V, n):
 
 # --- JSON cache ---------------------------------------------------------
 
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 _CACHED = ("c1", "c0")
+# the engine's solved series (see _SigmaSeries), each a list of N values
+_SERIES = ("Ak", "Bk", "hc", "psi_v")
 
 
 def _cache_path(cache_dir, V, t, digits):
@@ -798,25 +863,48 @@ def _cache_path(cache_dir, V, t, digits):
 
 
 def save_equilibrium(eq, V, cache_dir):
-    """Write eq's solve as the entry {version, digits, t, c1, c0}, in one
-    atomic step (mpnum.save_json)."""
+    """Write eq as the entry {version, digits, t, c1, c0, N, Ak, Bk, hc,
+    psi_v}, in one atomic step (mpnum.save_json).
+
+    The numbers are decimal strings with 15 guard digits (num_to_str), so
+    they read back to the same bits at digits + 10.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     digits = eq.digits
+    eng = _require_engine(eq)
     doc = {k: num_to_str(getattr(eq, k), digits) for k in ("t",) + _CACHED}
-    doc.update(version=_CACHE_VERSION, digits=digits)
+    doc.update((k, [num_to_str(v, digits) for v in getattr(eng, k)])
+               for k in _SERIES)
+    doc.update(version=_CACHE_VERSION, digits=digits, N=eng.N)
     return save_json(_cache_path(cache_dir, V, eq.t, digits), doc)
 
 
 def load_equilibrium(V, t, ctx, cache_dir):
-    """The cached solve (c1, c0) for V, t and ctx.digits, or None.
+    """The cached (c1, c0, series) for V, t and ctx.digits, or None.
 
-    A malformed entry raises an OSError naming its path (mpnum.load_json).
+    series maps each of Ak, Bk, hc and psi_v to its list of N values, for
+    _SigmaSeries to restore.  A malformed entry, or one of the wrong shape
+    (a missing key, a wrong type, a non-numeric string, a list whose
+    length is not N), raises an OSError naming its path
+    (mpnum.load_json); the engine spot-checks the numbers themselves.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
     path = _cache_path(cache_dir, V, t, ctx.digits)
     if not os.path.exists(path):
         return None
-    doc = load_json(path)
-    with mp.workdps(ctx.digits + 10):
-        return tuple(mpf(doc[k]) for k in _CACHED)
+
+    def parse(doc):
+        N = json_int(doc["N"])
+        with mp.workdps(ctx.digits + 10):
+            c1, c0 = (str_to_num(doc[k]) for k in _CACHED)
+            series = {k: [str_to_num(v) for v in doc[k]] for k in _SERIES}
+        # every engine's N lies in this range; _chop needs N >= 5
+        if not _PILOT_NODES <= N <= _max_nodes(ctx.digits):
+            raise ValueError("N = %d is outside [%d, %d]" % (
+                N, _PILOT_NODES, _max_nodes(ctx.digits)))
+        if any(len(v) != N for v in series.values()):
+            raise ValueError("series lengths disagree with N = %d" % N)
+        return c1, c0, series
+
+    return load_json(path, parse)

@@ -298,11 +298,41 @@ def save_json(path, doc):
     return path
 
 
-def load_json(path):
-    """The JSON document at path; malformed JSON raises an OSError naming
-    path, as a truncated or corrupt entry is an I/O failure."""
+def str_to_num(s):
+    """The mpf that the decimal string s denotes, at the working precision:
+    the inverse of num_to_str.  Raises TypeError when s is not a string
+    and ValueError when it names no finite number."""
+    if not isinstance(s, str):
+        raise TypeError("expected a decimal string, got %r" % (s,))
+    v = mpf(s)
+    if not mp.isfinite(v):
+        raise ValueError("%r is not a finite number" % s)
+    return v
+
+
+def json_int(v):
+    """v itself when it is a JSON integer (not a boolean), else TypeError."""
+    if type(v) is not int:
+        raise TypeError("expected an integer, got %r" % (v,))
+    return v
+
+
+def load_json(path, parse):
+    """parse(doc) for the JSON document doc at path.
+
+    A truncated or corrupt entry is an I/O failure: malformed JSON, and a
+    document of the wrong shape, which parse refuses with KeyError,
+    IndexError, TypeError or ValueError (a missing key, a wrong type, a
+    non-numeric string, lists of the wrong length), raise an OSError
+    naming path.
+    """
     with open(path) as f:
         try:
-            return json.load(f)
+            doc = json.load(f)
         except ValueError as exc:
             raise OSError("malformed JSON in %s: %s" % (path, exc)) from None
+    try:
+        return parse(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise OSError("malformed entry %s: %s: %s"
+                      % (path, type(exc).__name__, exc)) from None

@@ -251,6 +251,46 @@ def test_exit_io_on_cut_cache_entry(tmp_path, capsys, warm_cache, prefix,
     assert err.startswith("i/o error: ") and str(entry) in err
 
 
+@pytest.mark.parametrize("prefix, edit", [
+    ("eq_", lambda doc: {}),
+    ("eq_", lambda doc: [1, 2]),
+    ("eq_", lambda doc: dict(doc, c1=1.0)),
+    ("eq_", lambda doc: dict(doc, c0="abc")),
+    ("eq_", lambda doc: dict(doc, N=str(doc["N"]))),
+    ("eq_", lambda doc: dict(doc, hc=doc["hc"][:-1])),
+    ("eq_", lambda doc: dict(doc, N=4, **{k: doc[k][:4] for k in (
+        "Ak", "Bk", "hc", "psi_v")})),
+    ("biortho_", lambda doc: {}),
+    ("biortho_", lambda doc: [1, 2]),
+    ("biortho_", lambda doc: dict(doc, m=float(doc["m"]))),
+    ("biortho_", lambda doc: dict(doc, h=["abc"] + doc["h"][1:])),
+    ("biortho_", lambda doc: dict(doc, h=doc["h"][:-1])),
+], ids=["eq-empty", "eq-list", "eq-c1-number", "eq-c0-text", "eq-N-string",
+        "eq-hc-short", "eq-N-small", "biortho-empty", "biortho-list",
+        "biortho-m-float", "biortho-h-text", "biortho-h-short"])
+def test_exit_io_on_wrong_shape_cache_entry(tmp_path, capsys, warm_cache,
+                                            prefix, edit):
+    # valid JSON of the wrong shape is an i/o error naming the entry
+    cache, run = _run_on_cache(tmp_path, warm_cache)
+    entry, = cache.glob(prefix + "*.json")
+    entry.write_text(json.dumps(edit(json.loads(entry.read_text()))))
+    assert run() == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(entry) in err
+
+
+def test_exit_numeric_on_tampered_series(tmp_path, capsys, warm_cache):
+    # a restored engine whose sigma tail never settled fails its spot check
+    cache, run = _run_on_cache(tmp_path, warm_cache)
+    entry, = cache.glob("eq_*.json")
+    doc = json.loads(entry.read_text())
+    doc["Ak"][-1] = "1e-3"
+    entry.write_text(json.dumps(doc))
+    assert run() == EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith(
+        "numerical error: NonConvergent: cached Fourier series")
+
+
 @pytest.mark.parametrize("prefix", ["eq_", "biortho_"])
 def test_failed_cache_write_leaves_nothing(tmp_path, capsys, monkeypatch,
                                            warm_cache, prefix):
@@ -322,6 +362,7 @@ def test_universality_warm_cache_byte_identical(tmp_path):
     warm = json.loads(summary.read_text())["per_n"]
     assert warm["4"]["equilibrium_cache"] == "hit"
     assert warm["4"]["fourier_nodes"] == per_n["4"]["fourier_nodes"]
+    assert warm["4"]["fourier_tail"] == per_n["4"]["fourier_tail"]
     rows = _read_csv(out / "universality.csv")
     assert rows[0] == ["regime", "n", "xi", "eta", "value", "reference",
                        "abs_err", "rel_err", "config_hash"]

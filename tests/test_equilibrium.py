@@ -372,10 +372,15 @@ def test_reflect_potential_quartic(quartic):
 
 # --- cache ------------------------------------------------------------------
 
+_SERIES = ("Ak", "Bk", "hc", "psi_v")
+
+
 def test_cache_round_trip(eq_unit, quad, ctx96, tmp_path):
     save_equilibrium(eq_unit, quad, str(tmp_path))
     back = load_equilibrium(quad, 1, ctx96, str(tmp_path))
-    assert back == (eq_unit.c1, eq_unit.c0)
+    eng = eq_unit._engine
+    assert back == (eq_unit.c1, eq_unit.c0,
+                    {k: getattr(eng, k) for k in _SERIES})
 
 
 def test_cache_keys_on_digits_and_t(eq_unit, quad, ctx96, ctx64, tmp_path):
@@ -384,14 +389,47 @@ def test_cache_keys_on_digits_and_t(eq_unit, quad, ctx96, ctx64, tmp_path):
     assert load_equilibrium(quad, 2, ctx96, str(tmp_path)) is None
 
 
-def test_warm_build_matches(quad, ctx64, tmp_path):
-    first = build_equilibrium(quad, "1/2", ctx64, cache_dir=str(tmp_path))
-    again = build_equilibrium(quad, "1/2", ctx64, cache_dir=str(tmp_path))
-    # a hit rebuilds every compared field from the solve, to the last bit
-    assert again == first
-    assert again._engine.N == first._engine.N
-    assert (first.cache, again.cache) == ("miss", "hit")
-    # the entry holds the solve alone
+def test_warm_build_matches(tmp_path):
+    for i, (coeffs, digits) in enumerate(
+            (c, d) for c in (QUAD, QUARTIC) for d in (36, 64)):
+        V, ctx = Potential(coeffs), PrecisionContext.for_digits(digits)
+        cache = str(tmp_path / str(i))
+        first = build_equilibrium(V, "1/2", ctx, cache_dir=cache)
+        again = build_equilibrium(V, "1/2", ctx, cache_dir=cache)
+        # a hit restores the engine's series and derives the rest from
+        # it, to the last bit
+        assert again == first
+        assert (first.cache, again.cache) == ("miss", "hit")
+        for k in _SERIES + ("gam", "Gw", "gx", "mass", "ell", "N", "tail"):
+            assert getattr(again._engine, k) == getattr(first._engine, k), \
+                (coeffs, digits, k)
+        # the entry holds the solve and the engine's series
+        entry, = (tmp_path / str(i)).glob("eq_*.json")
+        assert set(json.loads(entry.read_text())) == {
+            "version", "digits", "t", "c0", "c1", "N"} | set(_SERIES)
+
+
+def _nudged(v):
+    # the decimal string v raised by a relative 10^-60
+    with mp.workdps(130):
+        return mp.nstr(mpf(v) * (1 + mpf(10) ** -60), 120)
+
+
+@pytest.mark.parametrize("key, edit", [
+    # a tail that never settled fails the chop test at 10^-101, though
+    # J(sigma) misses x by less than the spot check's 10^-96
+    ("Ak", lambda a: a[:-1] + ["1e-99"]),
+    # sigma shifted: J(sigma) misses x at the checked node
+    ("Ak", lambda a: a[:1] + [_nudged(a[1])] + a[2:]),
+    # psi_v off the density's series
+    ("psi_v", lambda a: [_nudged(v) for v in a]),
+], ids=["Ak_tail", "Ak_low", "psi_v"])
+def test_restore_spot_check_raises(eq_unit, quad, ctx96, tmp_path, key,
+                                   edit):
+    save_equilibrium(eq_unit, quad, str(tmp_path))
     entry, = tmp_path.glob("eq_*.json")
-    assert set(json.loads(entry.read_text())) == {
-        "version", "digits", "t", "c0", "c1"}
+    doc = json.loads(entry.read_text())
+    doc[key] = edit(doc[key])
+    entry.write_text(json.dumps(doc))
+    with pytest.raises(NonConvergent, match="cached Fourier series"):
+        build_equilibrium(quad, 1, ctx96, cache_dir=str(tmp_path))
