@@ -194,41 +194,48 @@ def _s_b(c1):
     return sqrt(mpf('0.25') + 1 / c1)
 
 
-def _contour_integrals(V, c1, c0):
-    """(U, W, P, Q): (1/2 pi i) times the integrals of V'(J),
-    V'(J)/(s - 1/2), V''(J)/(s - 1/2) and V''(J)/(s + 1/2) around the cut.
+def _V_of_J(V, c1, c0, order):
+    """The Laurent series at infinity of V'(J(s)) (order 1) or V''(J(s))
+    (order 2), as {e: [s^e]}, exact for every e >= -1.
 
-    Off the cut J = c1 s + c0 + sum_(k odd) 2^(1-k) s^-k / k, so each
-    integral is a residue at infinity and needs no quadrature.  U is
-    [s^-1] V'(J); as 1/(s -+ 1/2) = sum_(m>=0) (+-1/2)^m s^(-m-1), W and P
-    are sum_(m>=0) 2^-m [s^m] of V'(J) and V''(J), Q that of V''(J) with
-    (-1/2)^m.  Horner's products drop exponents below -(deg V + 1), which
-    keeps the coefficients used exact: in a product of p <= deg V - 1
+    Off the cut J = c1 s + c0 + sum_(k odd) 2^(1-k) s^-k / k.  Horner's
+    products drop exponents below -(deg V + 1), which keeps the
+    coefficients from s^-1 up exact: in a product of p <= deg V - 1
     factors J a term s^e meets at most s^(p-1), so only e >= -p reaches
     s^-1, and a dropped term rises by at most deg V - 1, to below s^-2.
     """
     low = -(V.degree + 1)
     J = {1: c1, 0: c0}
     J.update((-k, mpf(2) ** (1 - k) / k) for k in range(1, 1 - low, 2))
+    coeffs = V._lists()[order]
+    h = {0: coeffs[-1]}
+    for c in reversed(coeffs[:-1]):
+        prod = {0: c}
+        for e, a in h.items():
+            for f, b in J.items():
+                if e + f >= low:
+                    prod[e + f] = prod.get(e + f, 0) + a * b
+        h = prod
+    return h
 
-    def of_J(coeffs):
-        h = {0: coeffs[-1]}
-        for c in reversed(coeffs[:-1]):
-            prod = {0: c}
-            for e, a in h.items():
-                for f, b in J.items():
-                    if e + f >= low:
-                        prod[e + f] = prod.get(e + f, 0) + a * b
-            h = prod
-        return h
 
-    def at(h, x):
-        return sum(a * x ** e for e, a in h.items() if e >= 0)
+def _pol_at(h, s):
+    """The part of the Laurent series h with nonnegative powers, at s."""
+    return sum(a * s ** e for e, a in h.items() if e >= 0)
 
-    _, dV, ddV = V._lists()
-    vp, vpp = of_J(dV), of_J(ddV)
+
+def _contour_integrals(V, c1, c0):
+    """(U, W, P, Q): (1/2 pi i) times the integrals of V'(J),
+    V'(J)/(s - 1/2), V''(J)/(s - 1/2) and V''(J)/(s + 1/2) around the cut.
+
+    Each is a residue at infinity of a Laurent series (_V_of_J).  U is
+    [s^-1] V'(J); as 1/(s -+ 1/2) = sum_(m>=0) (+-1/2)^m s^(-m-1), W and P
+    are the nonnegative parts of V'(J) and V''(J) at 1/2 (_pol_at), and Q
+    that of V''(J) at -1/2.
+    """
+    vp, vpp = _V_of_J(V, c1, c0, 1), _V_of_J(V, c1, c0, 2)
     half = mpf('0.5')
-    return vp[-1], at(vp, half), at(vpp, half), at(vpp, -half)
+    return vp[-1], _pol_at(vp, half), _pol_at(vpp, half), _pol_at(vpp, -half)
 
 
 def solve_coefficients(V, t, ctx, _depth=0):
@@ -253,14 +260,15 @@ def solve_coefficients(V, t, ctx, _depth=0):
 
 
 def _newton_coefficients(V, t, guess, ctx):
+    # the step that a residual within newton_tol allows squares the
+    # iterate's error, so it is taken before returning
     c1, c0 = mpf(guess[0]), mpf(guess[1])
     tol = mpf(ctx.newton_tol)
     for _ in range(ctx.newton_max_iter):
         U, W, P, Q = _contour_integrals(V, c1, c0)
         U = c1 * U - t
         W -= t
-        if abs(U) <= tol and abs(W) <= tol:
-            return +c1, +c0
+        done = abs(U) <= tol and abs(W) <= tol
         j11 = (P + Q) / 2
         j12 = P - Q
         j21 = (P - Q) / c1 + P / 2
@@ -272,6 +280,8 @@ def _newton_coefficients(V, t, guess, ctx):
         c0 -= (j11 * W - j21 * U) / det
         if not c1 > 0:
             raise NonConvergent("c1 iterate left the positive axis")
+        if done:
+            return +c1, +c0
     raise NonConvergent("coefficient newton exhausted its iterations")
 
 
@@ -292,8 +302,8 @@ def _clenshaw(coeffs, c2):
 # (Chebyshev chopping, Aurentz & Trefethen, ACM TOMS 43 (2017) 33).  Each
 # level solves sigma at N nodes, seeded from the previous level's series,
 # and grows N until every Fourier coefficient of sigma at index >= 4N/5 is
-# below 10^-(digits + _CHOP_GUARD) of the largest; only then does the
-# O(N^2) double-log sum run, and its density coefficients must pass the
+# below 10^-(digits + _CHOP_GUARD) of the largest; then the density's
+# Chebyshev coefficients, from its closed form at the nodes, must pass the
 # same test at 10^-digits.  The guard sits above the working precision's
 # rounding floor, about 10^-(digits + 10).
 _PILOT_NODES = 32
@@ -342,14 +352,15 @@ class _SigmaSeries:
     on N nodes, the density psi_v at those nodes and its Chebyshev
     coefficients hc.  Every other array derives from these (_measure).
 
-    Cold (series None), all heavy sums run once at construction, on N
-    nodes sized by _chop from _PILOT_NODES up; the certified tail of
-    sigma's coefficients is tail.  Raises NonConvergent when the series
-    needs more than _max_nodes(digits) nodes.  Restored (series the dict
-    of Ak, Bk, hc and psi_v that load_equilibrium returns), no inversion
-    and no double-log sum runs: the stored series must pass the same chop
-    tests, which also recompute tail, and a spot check at one node
-    (_restore), or NonConvergent is raised.
+    Cold (series None), sigma is solved at N nodes sized by _chop from
+    _PILOT_NODES up, and the density follows from it in closed form
+    (_density); the certified tail of sigma's coefficients is tail.
+    Raises NonConvergent when the series needs more than _max_nodes(digits)
+    nodes.  Restored (series the dict of Ak, Bk, hc and psi_v that
+    load_equilibrium returns), no inversion runs and psi_v is not
+    recomputed: the stored series must pass the same chop tests, which
+    also recompute tail, and a spot check at one node (_restore), or
+    NonConvergent is raised.
 
     invert solves J(s) = x to the engine's own tolerance
     10^-(digits + 4), fixed here, whatever precision its caller runs at:
@@ -459,9 +470,7 @@ class _SigmaSeries:
                 # the previous level's series is close to the root
                 s = self.sigma((2 * i + 1) * pi / (2 * N))
             elif s is None:
-                # seed from the square-root edge expansion near b
-                s = self.s_b + mpc(0, 1) * sqrt(
-                    (self.b - x) / (self.s_b * self.c1 * self.c1))
+                s = self._edge_seed(x)
             s = self.invert(x, s)
             if im(s) < 0:
                 s = conj(s)
@@ -479,66 +488,30 @@ class _SigmaSeries:
         return ct, st, sig
 
     def _density(self, sig, ct, st):
-        """psi at the nodes by the double-log sum, then its Chebyshev
-        coefficients hc."""
-        V, t, N = self.V, self.t, self.N
-        M4 = 4 * N
-        sigf = [conj(sig[N - 1 - j]) if j < N else sig[j - N]
-                for j in range(2 * N)]
-        # V'' as a cosine polynomial on the support: exact sine-series
-        # pairing with the circular log kernel handles the smooth part
-        D = max(1, len(V.ddfrac))
-        NP = 4 * D + 8
-        vph = [(i + mpf('0.5')) * pi / NP for i in range(NP)]
-        vs = [V.Vpp(self.mid + self.rad * cos(p)) for p in vph]
-        vm = []
-        for k2 in range(D):
-            sa = mpf(0)
-            for i in range(NP):
-                sa += vs[i] * cos(k2 * vph[i])
-            vm.append(sa * (1 if k2 == 0 else 2) / NP)
-        bw = [mpf(0)] * (D + 2)
-        bw[1] += self.rad * vm[0]
-        for m2 in range(1, D):
-            bw[m2 + 1] += self.rad * vm[m2] / 2
-            if m2 - 1 >= 1:
-                bw[m2 - 1] -= self.rad * vm[m2] / 2
-        phi_idx = [(2 * (j - N) + 1) % M4 for j in range(2 * N)]
-        wf = [V.Vpp(self.mid + self.rad * ct[q]) * self.rad * st[q]
-              for q in phi_idx]
-        # log|sigf[j] - sig[i]| is symmetric in i and the node of sig that
-        # sigf[j] carries, so each pair's logarithm is taken once and added
-        # to both rows; log|2 sin((phi[j] - th[i])/2)| is split off by table
-        lsin = {m: log(abs(2 * st[m % M4])) for m in range(-2 * N + 1, N)
-                if m != 0}
-        T = [mpf(0)] * N
-        for i in range(N):
-            sgi = sig[i]
-            for l in range(i, N):
-                dl = log(abs(sigf[N - 1 - l] - sgi))
-                T[i] += wf[N - 1 - l] * dl
-                if l != i:
-                    T[l] += wf[N - 1 - i] * dl
-                    du = log(abs(sig[l] - sgi))
-                    T[i] += wf[N + l] * du
-                    T[l] += wf[N + i] * du
-        kA = [k * self.Ak[k] for k in range(1, N)]
-        kB = [k * self.Bk[k] for k in range(1, N)]
-        self.psi_v = []
-        for i in range(N):
-            q = 2 * i + 1
-            L = mpf(0)
-            for k in range(1, len(bw)):
-                if bw[k] != 0:
-                    L += bw[k] * (-pi / k) * st[q * k % M4]
-            # sigma'(th[i]) for the diagonal term
-            sp_re = -mp.fdot(kA, [st[q * k % M4] for k in range(1, N)])
-            sp_im = mp.fdot(kB, [ct[q * k % M4] for k in range(1, N)])
-            Ti = T[i] + wf[N + i] * log(abs(mpc(sp_re, sp_im)))
-            Ti -= mp.fdot((wf[j], lsin[j - N - i])
-                          for j in range(2 * N) if j - N != i)
-            Ti *= pi / N
-            self.psi_v.append(-(L + Ti) / (2 * pi * pi * t))
+        """psi at the nodes, Im Pol(sigma) / (pi t), then its Chebyshev
+        coefficients hc; Pol is V'(J(s))'s nonnegative part (_pol_at).
+
+        The gluing of Claeys & Romano (Nonlinearity 27 (2014) 2419-2444):
+        G(z) = int dnu(y)/(z - y) and G~(z) = int e^z dnu(y)/(e^z - e^y),
+        nu = t psi dx, both jump by -2 pi i psi_nu across (a, b), where the
+        derivative of the variational condition reads
+        G_+ + G_- + G~_+ + G~_- = 2 V'; so G_+ + G~_- = V' there.  J maps
+        the outside of the curve gamma through +-s_b onto C minus [a, b],
+        and its inside, cut along [-1/2, 1/2], onto the strip |Im z| < pi
+        minus [a, b]; crossing gamma's upper arc inwards crosses (a, b)
+        downwards.  So V'(J) - G(J) outside gamma and G~(J) inside glue
+        into one function Phi.  G~ is 2 pi i periodic, so Phi does not see
+        J's jump across the cut, and it tends to t and 0 at s = 1/2 and
+        -1/2, where Re J runs to +-infinity.  Phi is entire and, as
+        G(J(s)) = O(1/s), it is Pol; on the upper arc
+        Im Pol(I_+(x)) = Im G~_-(x) = pi t psi(x).  Phi(1/2) = t and
+        G(J(s)) ~ t/(c1 s) are the two coefficient conditions.  The
+        argument takes J's mapping of gamma as given; density(), the
+        double-log integral, checks the identity in the tests.
+        """
+        N, M4 = self.N, 4 * self.N
+        pol = _V_of_J(self.V, self.c1, self.c0, 1)
+        self.psi_v = [im(_pol_at(pol, s)) / (pi * self.t) for s in sig]
         # Chebyshev coefficients of psi/(rad sin)
         hval = [self.psi_v[i] / (self.rad * st[2 * i + 1])
                 for i in range(N)]
@@ -583,8 +556,18 @@ class _SigmaSeries:
         c = max(mpf(-1), min(mpf(1), c))
         return acos(c)
 
+    def _edge_seed(self, x):
+        # I_+ at the nearer edge, from J(+-s_b + d) = b or a +- s_b c1^2 d^2
+        gap = min(x - self.a, self.b - x)
+        edge = self.s_b if gap == self.b - x else -self.s_b
+        return edge + mpc(0, 1) * sqrt(gap / (self.s_b * self.c1 * self.c1))
+
     def iplus(self, x):
-        s = self.invert(x, self.sigma(self.theta_of(x)))
+        # next to an edge the series seed comes out real (theta_of clamps
+        # at the precision of mid and rad), and Newton from it stays real
+        near = min(x - self.a, self.b - x) < self.rad * sqrt(self.tol)
+        s = self.invert(x, self._edge_seed(x) if near else
+                        self.sigma(self.theta_of(x)))
         if im(s) < 0:
             s = conj(s)
         return s
@@ -850,7 +833,7 @@ def reflect_potential(V, n):
 
 # --- JSON cache ---------------------------------------------------------
 
-_CACHE_VERSION = 4
+_CACHE_VERSION = 5
 _CACHED = ("c1", "c0")
 # the engine's solved series (see _SigmaSeries), each a list of N values
 _SERIES = ("Ak", "Bk", "hc", "psi_v")

@@ -142,6 +142,22 @@ def test_contour_integrals_match_quadrature(coeffs, c1, c0):
             assert abs(ref - value) < mpf(10) ** -digits * (1 + abs(value))
 
 
+@pytest.mark.parametrize("coeffs", [QUARTIC, SEXTIC],
+                         ids=["quartic", "sextic"])
+def test_coefficients_reach_full_precision(coeffs):
+    # the solve stops once its residual is within 10^-(digits-12) and
+    # takes the step that residual allows, which lands within the
+    # working precision's rounding of a 200-digit solve
+    V = Potential(coeffs)
+    for t in ("1/2", "1", "2"):
+        ref = solve_coefficients(V, t, PrecisionContext.for_digits(200))
+        for digits in (36, 48, 64):
+            got = solve_coefficients(V, t, PrecisionContext.for_digits(digits))
+            with mp.workdps(210):
+                for c, r in zip(got, ref):
+                    assert abs(c - r) < mpf(10) ** -(digits + 5), (t, digits)
+
+
 def test_sextic_equilibrium_identities():
     digits = 48
     eq = build_equilibrium(Potential(SEXTIC), 1, PrecisionContext.for_digits(
@@ -248,13 +264,22 @@ def test_density_mass(table):
 
 
 def test_density_dual_route(eq_unit, ctx96):
-    # interpolating the engine values is not independent; recompute two
-    # points through the principal-value route and compare
-    eng = eq_unit._engine
-    with mp.workdps(110):
-        for x in (mpf("0.2"), mpf("1.1")):
-            direct = density(eq_unit, x, ctx96)
-            assert abs(direct - eng.psi(x)) < mpf(10) ** -40
+    # the engine's density is the closed form Im Pol(I_+(x)) / (pi t) at
+    # its nodes; the defining double-log integral, density(), is the
+    # independent route.  The quadratic at 96 digits, and two fields whose
+    # V'(J) has degree 3 and 5 at both ends of the t range, at 48 digits;
+    # at t = 1/2 the quartic's tanh-sinh nodes reach within 1e-62 of a
+    ctx48 = PrecisionContext.for_digits(48)
+    cases = [(eq_unit, ctx96)] + [
+        (build_equilibrium(Potential(c), t, ctx48), ctx48)
+        for c in (QUARTIC, SEXTIC) for t in ("1/2", "2")]
+    for eq, ctx in cases:
+        with mp.workdps(ctx.digits + 10):
+            for f in ("0.3", "0.8"):
+                x = eq.a + (eq.b - eq.a) * mpf(f)
+                direct = density(eq, x, ctx)
+                assert abs(direct - eq._engine.psi(x)) < \
+                    mpf(10) ** -(ctx.digits + 5), (eq.P, eq.t, f)
 
 
 def test_engine_inverts_next_to_the_edges(eq_unit, monkeypatch):
