@@ -8,14 +8,15 @@ the p coefficients invert the unit lower factor, the q coefficients invert
 the transposed unit upper factor, and the pivots are the norming constants.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
-from mpmath import mp, mpf, mpc, log, exp, ln, pi, im, re, polyroots
+from mpmath import mp, mpf, mpc, log, exp, pi, im, re, polyroots
 
-from .mpnum import (RealInterval, NonConvergent, _horner, newton,
-                    SingularMinor, ldu_bidiagonalize, invert_unit_lower,
-                    integrate_trapezoid, num_to_str, str_to_num, json_int,
-                    save_json, load_json)
+from .mpnum import (RealInterval, NonConvergent, PrecisionContext, _horner,
+                    newton, SingularMinor, ldu_bidiagonalize,
+                    invert_unit_lower, integrate_trapezoid, num_to_str,
+                    str_to_num, json_int, save_json, load_json)
 
 # construct builds degrees up to n + MAX_EXTRA_DEGREES, no further
 MAX_EXTRA_DEGREES = 8
@@ -72,19 +73,23 @@ def _window(V, n, m, digits):
 
     The left tail is governed by j = 0 and the right tail by j = m; the
     m*log(1+|x|) term covers the polynomial factor.  Each side brackets the
-    target drop and bisects.  Raises NonConvergent when an envelope peaks
-    at an end of the search box [-50, 50], so the true peak lies outside.
+    target drop and bisects, in floats from V's exact coefficients: the
+    ends come out within about 1e-15 of the bisection's limit, and the
+    0.25 pad added to each covers that.  Raises NonConvergent when an
+    envelope peaks at an end of the search box [-50, 50], so the true peak
+    lies outside.
     """
-    targ = (digits + 20) * ln(mpf(10))
+    targ = (digits + 20) * math.log(10)
+    cf = [float(c) for c in V.frac]
 
     def envelope(x, slope):
-        return m * ln(1 + abs(x)) + slope * x - n * V.V(x)
+        return m * math.log1p(abs(x)) + slope * x - n * _horner(cf, x)
 
     def side(slope, direction):
         # global coarse peak of this side's envelope, then walk outward
         best, x0 = None, None
         for k in range(401):
-            x = mpf(-50) + mpf(k) / 4
+            x = -50 + k / 4
             v = envelope(x, slope)
             if best is None or v > best:
                 best, x0 = v, x
@@ -101,43 +106,77 @@ def _window(V, n, m, digits):
                 lo = mid
             else:
                 hi = mid
-        return hi + direction * mpf('0.25')
+        return mpf(hi) + direction * mpf('0.25')
 
-    return side(0, mpf(-1)), side(m, mpf(1))
+    return side(0, -1), side(m, 1)
 
 
 def _moment_rect(V, n, rows, cols, ctx):
     """Rectangular moment table M[i][j], 0 <= i < rows, 0 <= j < cols.
 
-    One trapezoidal rule over the common window serves the whole table:
-    each node evaluates e^{-nV(x)} and e^x once and fills the rectangle.
-    The step halves until every entry agrees across two levels to
-    10^-(digits-4) * max(|M[i][j]|, M[0][j]), its column's mass.
+    Only rows 0 .. d-2 (d = V.degree) and the top row come from
+    quadrature: one trapezoidal rule over the common window, where each
+    node evaluates e^{-nV(x)}, e^x and x^top once.  The step halves until
+    every such entry agrees across two levels to
+    10^-(digits-4) * max(|M[i][j]|, M[0][j]), its column's mass.  The rows
+    from d-1 up follow by integration by parts, since the derivative of
+    x^i e^{jx} e^{-nV} integrates to zero over R:
+        i M[i-1][j] + j M[i][j] = n sum_k V'_k M[i+k][j].
+    A forward recurrence can lose digits as i grows, so the quadrature's
+    top row certifies it: the two must agree entry by entry to the same
+    tolerance, or NonConvergent is raised.
     """
     digits = ctx.digits
     mtop = max(rows, cols) - 1
-    with mp.workdps(digits + 10):
+    d = V.degree
+    top = rows - 1
+    # the rows taken by quadrature, in the order f returns them
+    qrows = list(range(min(rows, d - 1)))
+    if top >= d - 1:
+        qrows.append(top)
+    # the recurrence amplifies the rounding of its start rows: on the
+    # quartic it loses about a third of a digit per row, so the table is
+    # built with rows // 2 digits more than its callers' guard of 10
+    wctx = PrecisionContext.for_digits(digits + rows // 2)
+    with mp.workdps(wctx.digits + 10):
         win = RealInterval(*_window(V, n, mtop, digits))
         rel = mpf(10) ** (-(digits - 4))
 
         def f(x):
             ex = exp(x)
-            col = exp(-n * V.V(x))
-            out = [None] * (rows * cols)
-            for j in range(cols):
-                v = col
-                for i in range(rows):
-                    out[i * cols + j] = v
-                    v *= x
-                col *= ex
-            return out
+            col = [exp(-n * V.V(x))]
+            for _ in range(cols - 1):
+                col.append(col[-1] * ex)
+            return [v * p for p in [x ** i for i in qrows] for v in col]
 
         def tol(vals):
             return [rel * max(abs(v), abs(vals[k % cols]))
                     for k, v in enumerate(vals)]
 
-        flat = integrate_trapezoid(f, win, ctx, tol)
-        M = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+        flat = integrate_trapezoid(f, win, wctx, tol)
+        M = [flat[k * cols:(k + 1) * cols] for k in range(len(qrows))]
+        if top < d - 1:
+            return M, win
+        certificate = M.pop()
+        # n V'_k at the working precision, from V's exact rationals
+        nvp = [n * mpf(c.numerator) / c.denominator for c in V.dfrac]
+        lead = nvp[-1]
+        for i in range(d - 1, rows):
+            r = i - (d - 1)
+            row = []
+            for j in range(cols):
+                s = j * M[r][j]
+                if r:
+                    s += r * M[r - 1][j]
+                for k in range(d - 1):
+                    s -= nvp[k] * M[r + k][j]
+                row.append(s / lead)
+            M.append(row)
+        for j, (got, want) in enumerate(zip(M[top], certificate)):
+            if abs(got - want) > rel * max(abs(want), M[0][j]):
+                raise NonConvergent(
+                    "moment recurrence drifted from quadrature at (%d, %d)"
+                    % (top, j))
         return M, win
 
 
@@ -303,13 +342,15 @@ def load_system(path, ctx, V=None):
     """Load a serialized system and spot-validate the defect invariant.
 
     Full revalidation would redo every pairing integral, so the loader
-    samples the diagonal at the top degree and two off-diagonal pairings,
-    all three from one trapezoidal pass over the support window that
-    evaluates the weight e^{-nV} and e^x once per node.  A malformed file,
-    or one of the wrong shape (a missing key, a wrong type, a non-numeric
-    string, h or a coefficient row of the wrong length), raises an
-    OSError naming path (mpnum.load_json); a failed defect check raises
-    NonConvergent.
+    samples the diagonal at the top degree and the off-diagonal pairings
+    (m, m-1) and (0, m) that exist, all from one trapezoidal pass over the
+    support window that evaluates the weight e^{-nV} and e^x once per
+    node.  Each must lie within 10^-(digits//3) * max(h) of its exact
+    value, and the rule resolves them to a thousandth of that.  A
+    malformed file, or one of the wrong shape (a missing key, a wrong
+    type, a non-numeric string, h or a coefficient row of the wrong
+    length), raises an OSError naming path (mpnum.load_json); a failed
+    defect check raises NonConvergent.
     """
     from .equilibrium import Potential
 
@@ -336,8 +377,9 @@ def load_system(path, ctx, V=None):
     with mp.workdps(digits + 10):
         hmax = max(sys.h)
         bound = mpf(10) ** (-digits // 3) * hmax
-        n = sys.n
-        pairs = [(sys.m, sys.m), (sys.m, sys.m - 1), (0, sys.m)]
+        n, m = sys.n, sys.m
+        # at m = 0 only (0, 0) exists: there is no q_{-1}
+        pairs = [(m, m), (m, m - 1), (0, m)] if m else [(0, 0)]
 
         def f(s):
             w = exp(-n * V.V(s))
@@ -345,7 +387,10 @@ def load_system(path, ctx, V=None):
             return [_horner(sys.p_coeffs[i], s)
                     * _horner(sys.q_coeffs[j], y) * w for i, j in pairs]
 
-        vals = integrate_trapezoid(f, sys.support_window, ctx)
+        # the check only decides |defect| > bound, so the rule need not
+        # resolve each pairing further than a thousandth of that bound
+        vals = integrate_trapezoid(f, sys.support_window, ctx,
+                                   lambda vals: [bound / 1000] * len(vals))
         for (i, j), val in zip(pairs, vals):
             if i == j:
                 val -= sys.h[i]

@@ -197,16 +197,17 @@ def _ensure_out(cfg):
 
 
 def _get_system(cfg, V, n, m, ctx):
+    """The system and how the cache met it: "hit", "miss" or "off"."""
     if cfg.cache_dir:
         key = cache_key({"coeffs": V.coeff_strings(), "n": n, "m": m,
                          "digits": ctx.digits, "version": _SCHEMA_VERSION})
         path = os.path.join(cfg.cache_dir, "biortho_%s.json" % key)
         if os.path.exists(path):
-            return load_system(path, ctx, V=V)
+            return load_system(path, ctx, V=V), "hit"
         sys_ = construct(V, n, m, ctx)
         save_system(sys_, path)
-        return sys_
-    return construct(V, n, m, ctx)
+        return sys_, "miss"
+    return construct(V, n, m, ctx), "off"
 
 
 def _equilibrium_meta(eq):
@@ -264,11 +265,11 @@ def cmd_biortho(cfg):
     path = os.path.join(cfg.output_dir, "biortho.csv")
     writer = ReportWriter(path, ("n", "m", "digits", "h_min", "h_max",
                                  "window_lo", "window_hi"), tag)
-    h_by_n = {}
+    h_by_n, sys_cache = {}, {}
     try:
         for n in cfg.n_list:
             ctx = PrecisionContext.for_digits(_effective_digits(cfg, n))
-            sys_ = _get_system(cfg, pot, n, n + 1, ctx)
+            sys_, sys_cache[str(n)] = _get_system(cfg, pot, n, n + 1, ctx)
             h_by_n[n] = sys_.h
             writer.row((str(n), str(sys_.m), str(ctx.digits),
                         _fmt(min(sys_.h)), _fmt(max(sys_.h)),
@@ -278,7 +279,7 @@ def cmd_biortho(cfg):
         writer.close()
     figures = _plotting.render_biortho(h_by_n, cfg.output_dir)
     summary = {"config_hash": tag, "rows": len(h_by_n), "csv": path,
-               "figures": figures}
+               "figures": figures, "system_cache": sys_cache}
     _write_json(os.path.join(cfg.output_dir, "biortho_summary.json"), summary)
     return summary
 
@@ -286,7 +287,7 @@ def cmd_biortho(cfg):
 def _universality_one(cfg, pot, n):
     ctx = PrecisionContext.for_digits(_effective_digits(cfg, n))
     eq = build_equilibrium(pot, 1, ctx, cache_dir=cfg.cache_dir)
-    sys_ = _get_system(cfg, pot, n, n + 1, ctx)
+    sys_, outcome = _get_system(cfg, pot, n, n + 1, ctx)
     if cfg.regime == "bulk":
         x_star = (eq.a + eq.b) / 2 if cfg.x_star is None else mpf(cfg.x_star)
     else:
@@ -298,7 +299,7 @@ def _universality_one(cfg, pot, n):
     cells = [tuple([row[0], str(row[1])] + [_fmt(v) for v in row[2:]])
              for row in kernelmod.result_rows(req, res)]
     return n, cells, dict(kernelmod.error_summary(res),
-                          **_equilibrium_meta(eq))
+                          **_equilibrium_meta(eq)), outcome
 
 
 def cmd_universality(cfg):
@@ -308,7 +309,7 @@ def cmd_universality(cfg):
     path = os.path.join(cfg.output_dir, "universality.csv")
     writer = ReportWriter(path, ("regime", "n", "xi", "eta", "value",
                                  "reference", "abs_err", "rel_err"), tag)
-    per_n_rows, summaries = {}, {}
+    per_n_rows, summaries, sys_cache = {}, {}, {}
     try:
         if cfg.jobs > 1 and len(cfg.n_list) > 1:
             import multiprocessing
@@ -318,17 +319,18 @@ def cmd_universality(cfg):
                     [(cfg, pot, n) for n in cfg.n_list])
         else:
             results = [_universality_one(cfg, pot, n) for n in cfg.n_list]
-        for n, cells, summ in results:
+        for n, cells, summ, outcome in results:
             for c in cells:
                 writer.row(c)
             per_n_rows[n] = [(c[2], c[3], c[4], c[5], c[6]) for c in cells]
             summaries[str(n)] = summ
+            sys_cache[str(n)] = outcome
     finally:
         writer.close()
     figures = _plotting.render_universality(per_n_rows, cfg.regime,
                                             cfg.output_dir)
     summary = {"config_hash": tag, "regime": cfg.regime, "per_n": summaries,
-               "csv": path, "figures": figures}
+               "system_cache": sys_cache, "csv": path, "figures": figures}
     _write_json(os.path.join(cfg.output_dir, "universality_summary.json"),
                 summary)
     return summary
@@ -362,7 +364,7 @@ def cmd_diagnostics(cfg):
             eq = build_equilibrium(pot, 1, ctx, cache_dir=cfg.cache_dir)
             per_n[str(n)] = _equilibrium_meta(eq)
             K = _delta_degrees(cfg, n)
-            sys_ = _get_system(cfg, pot, n, n + max(K, 1), ctx)
+            sys_, _ = _get_system(cfg, pot, n, n + max(K, 1), ctx)
             diag = kernelmod.cd_coefficients(sys_, mpf(cfg.delta),
                                              cfg.m_window, ctx, eq=eq)
             eng = _require_engine(eq)

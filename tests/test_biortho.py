@@ -5,8 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import conj, exp, mp, mpc, mpf, pi, sqrt
+from mpmath import binomial, conj, exp, fac2, mp, mpc, mpf, pi, sqrt
 
+from biorthlab import biortho
 from biorthlab.biortho import (
     NonPositiveMinor,
     _moment_rect,
@@ -19,22 +20,19 @@ from biorthlab.biortho import (
     zeros,
 )
 from biorthlab.equilibrium import Potential
-from biorthlab.mpnum import NonConvergent, PrecisionContext, _horner
+from biorthlab.mpnum import (NonConvergent, PrecisionContext, _horner,
+                             integrate_trapezoid, num_to_str)
 
-from conftest import ctx_for
+from conftest import QUARTIC, ctx_for
 
 
 def _gauss_moment(r, s, n):
-    # int x^r e^{sx} e^{-n x^2/2} dx, closed form for r <= 2
-    base = sqrt(2 * pi / n) * exp(mpf(s) ** 2 / (2 * n))
-    mean = mpf(s) / n
-    if r == 0:
-        return base
-    if r == 1:
-        return base * mean
-    if r == 2:
-        return base * (mean ** 2 + mpf(1) / n)
-    raise ValueError(r)
+    # int x^r e^{sx} e^{-n x^2/2} dx = sqrt(2 pi/n) e^{s^2/(2n)} E[X^r],
+    # X ~ N(s/n, 1/n)
+    mean, var = mpf(s) / n, mpf(1) / n
+    raw = sum(binomial(r, k) * mean ** (r - k) * var ** (k // 2) * fac2(k - 1)
+              for k in range(0, r + 1, 2))
+    return sqrt(2 * pi / n) * exp(mpf(s) ** 2 / (2 * n)) * raw
 
 
 def test_bimoments_guards(quad, ctx64):
@@ -95,6 +93,91 @@ def test_moment_rect_matches_quadrature(quartic):
                 lambda x: x ** i * exp(j * x - n * quartic.V(x)),
                 [win.lo, win.hi])
             assert abs(rect[i][j] - want) < mpf(10) ** -60 * rect[0][j], (i, j)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_moment_recurrence_quadratic_exact(quad, n):
+    # every entry, including the rows the recurrence fills, is exact here
+    ctx = ctx_for(n)
+    rect, _ = _moment_rect(quad, n, n + 2, n + 2, ctx)
+    with mp.workdps(ctx.digits + 10):
+        tol = mpf(10) ** (-(ctx.digits - 5))
+        for j in range(n + 2):
+            mass = _gauss_moment(0, j, n)
+            for i in range(n + 2):
+                want = _gauss_moment(i, j, n)
+                assert abs(rect[i][j] - want) <= tol * mass, (i, j)
+
+
+SEXTIC = ("1", "-1/3", "1", "1/5", "1/10", "0", "1/30")
+
+
+def _full_quadrature_rect(V, n, rows, cols, win, ctx):
+    # every row by the trapezoid: the table before integration by parts
+    rel = mpf(10) ** (-(ctx.digits - 4))
+
+    def f(x):
+        out, col = [], exp(-n * V.V(x))
+        for j in range(cols):
+            out.extend(col * x ** i for i in range(rows))
+            col *= exp(x)
+        return out
+
+    def tol(vals):
+        return [rel * max(abs(v), abs(vals[k - k % rows]))
+                for k, v in enumerate(vals)]
+
+    flat = integrate_trapezoid(f, win, ctx, tol)
+    return [[flat[j * rows + i] for j in range(cols)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("coeffs", [QUARTIC, SEXTIC],
+                         ids=["quartic", "sextic"])
+@pytest.mark.parametrize("rows,cols", [(10, 10), (10, 11), (13, 9)],
+                         ids=["square", "cd_shape", "tall"])
+def test_moment_recurrence_matches_full_quadrature(coeffs, rows, cols):
+    V, n, ctx = Potential(coeffs), 8, ctx_for(8)
+    rect, win = _moment_rect(V, n, rows, cols, ctx)
+    with mp.workdps(ctx.digits + 10):
+        want = _full_quadrature_rect(V, n, rows, cols, win, ctx)
+        tol = mpf(10) ** (-(ctx.digits - 4))
+        for i in range(rows):
+            for j in range(cols):
+                assert abs(rect[i][j] - want[i][j]) <= tol * max(
+                    abs(want[i][j]), want[0][j]), (i, j)
+
+
+@pytest.mark.parametrize("coeffs", [QUARTIC, SEXTIC],
+                         ids=["quartic", "sextic"])
+def test_moment_recurrence_keeps_its_guard_digits(coeffs):
+    # the forward recurrence amplifies the rounding of its start rows; the
+    # table must still hold 8 digits past nominal, against a build at 40
+    # more digits
+    V, n, ctx = Potential(coeffs), 16, ctx_for(16)
+    rect, _ = _moment_rect(V, n, n + 2, n + 2, ctx)
+    ref, _ = _moment_rect(V, n, n + 2, n + 2,
+                          PrecisionContext.for_digits(ctx.digits + 40))
+    with mp.workdps(ctx.digits + 60):
+        tol = mpf(10) ** (-(ctx.digits + 8))
+        for i in range(n + 2):
+            for j in range(n + 2):
+                assert abs(rect[i][j] - ref[i][j]) <= tol * ref[0][j], (i, j)
+
+
+def test_moment_recurrence_certificate_fires(quad, ctx64, monkeypatch):
+    # a row 0 off by 10^-(digits/2) propagates to the recurrence's top row,
+    # which must then disagree with the top row's own quadrature
+    real = integrate_trapezoid
+    cols = 6
+
+    def skewed(f, iv, ctx, tol=None):
+        vals = real(f, iv, ctx, tol)
+        scale = 1 + mpf(10) ** (-(ctx.digits // 2))
+        return [v * scale for v in vals[:cols]] + vals[cols:]
+
+    monkeypatch.setattr(biortho, "integrate_trapezoid", skewed)
+    with pytest.raises(NonConvergent):
+        _moment_rect(quad, 4, 6, cols, ctx64)
 
 
 def test_support_window_brackets(sys8):
@@ -187,6 +270,40 @@ def test_load_rejects_corrupted_h(sys8, tmp_path):
         json.dump(doc, f)
     with pytest.raises(NonConvergent):
         load_system(path, ctx_for(8))
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_save_load_round_trip_small_m(quad, tmp_path, m):
+    # at m = 0 there is no sub-diagonal pairing to check
+    ctx = PrecisionContext.for_digits(36)
+    sys_ = construct(quad, 2, m, ctx)
+    path = str(tmp_path / "sys.json")
+    save_system(sys_, path)
+    back = load_system(path, ctx)
+    assert back.h == sys_.h
+    assert back.q_coeffs == sys_.q_coeffs
+
+
+@pytest.mark.parametrize("factor,loads", [(10, False), (mpf(1) / 10, True)],
+                         ids=["ten_bounds", "tenth_of_bound"])
+def test_load_check_decides_at_its_bound(sys8, tmp_path, factor, loads):
+    # the defect bound is 10^-(digits//3) max(h), and the loader's looser
+    # quadrature must still tell 10 bounds from a tenth of one
+    ctx, m, digits = ctx_for(8), sys8.m, sys8.digits
+    path = str(tmp_path / "sys8.json")
+    save_system(sys8, path)
+    with open(path) as f:
+        doc = json.load(f)
+    with mp.workdps(digits + 10):
+        bound = mpf(10) ** (-(digits // 3)) * max(sys8.h)
+        doc["h"][m] = num_to_str(sys8.h[m] + factor * bound, digits)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    if loads:
+        assert load_system(path, ctx).m == m
+    else:
+        with pytest.raises(NonConvergent):
+            load_system(path, ctx)
 
 
 def test_construct_insufficient_digits_raises(quad):

@@ -344,6 +344,9 @@ def test_biortho_command(tmp_path):
     with mp.workdps(40):
         assert mpf(rows[1][3]) > 0  # h_min
         assert mpf(rows[1][4]) >= mpf(rows[1][3])  # h_max
+    summary = json.loads((tmp_path / "out" / "biortho_summary.json")
+                         .read_text())
+    assert summary["system_cache"] == {"4": "off"}
 
 
 def test_universality_warm_cache_byte_identical(tmp_path):
@@ -355,12 +358,16 @@ def test_universality_warm_cache_byte_identical(tmp_path):
     first = (out / "universality.csv").read_bytes()
     _assert_figure(out, "universality_bulk.png", "universality_summary.json")
     summary = out / "universality_summary.json"
-    per_n = json.loads(summary.read_text())["per_n"]
+    cold = json.loads(summary.read_text())
+    per_n = cold["per_n"]
     assert per_n["4"]["equilibrium_cache"] == "miss"
+    assert cold["system_cache"] == {"4": "miss"}
     assert main(["--config", cfgp, "universality"]) == EXIT_OK
     assert (out / "universality.csv").read_bytes() == first
-    warm = json.loads(summary.read_text())["per_n"]
+    warm_summary = json.loads(summary.read_text())
+    warm = warm_summary["per_n"]
     assert warm["4"]["equilibrium_cache"] == "hit"
+    assert warm_summary["system_cache"] == {"4": "hit"}
     assert warm["4"]["fourier_nodes"] == per_n["4"]["fourier_nodes"]
     assert warm["4"]["fourier_tail"] == per_n["4"]["fourier_tail"]
     rows = _read_csv(out / "universality.csv")
