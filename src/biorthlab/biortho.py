@@ -118,9 +118,12 @@ def _moment_rect(V, n, rows, cols, ctx):
     quadrature: one trapezoidal rule over the common window, where each
     node evaluates e^{-nV(x)}, e^x and x^top once.  The step halves until
     every such entry agrees across two levels to
-    10^-(digits-4) * max(|M[i][j]|, M[0][j]), its column's mass.  The rows
-    from d-1 up follow by integration by parts, since the derivative of
-    x^i e^{jx} e^{-nV} integrates to zero over R:
+    10^-(digits-4) * max(|M[i][j]|, M[0][j]), its column's mass, or until
+    the digits gained per halving have doubled enough to predict that
+    agreement one level ahead: the integrand is entire, so the trapezoid's
+    error falls like e^{-2 pi a/h} and each halving doubles its gain.
+    The rows from d-1 up follow by integration by parts, since the
+    derivative of x^i e^{jx} e^{-nV} integrates to zero over R:
         i M[i-1][j] + j M[i][j] = n sum_k V'_k M[i+k][j].
     A forward recurrence can lose digits as i grows, so the quadrature's
     top row certifies it: the two must agree entry by entry to the same
@@ -346,7 +349,10 @@ def load_system(path, ctx, V=None):
     (m, m-1) and (0, m) that exist, all from one trapezoidal pass over the
     support window that evaluates the weight e^{-nV} and e^x once per
     node.  Each must lie within 10^-(digits//3) * max(h) of its exact
-    value, and the rule resolves them to a thousandth of that.  A
+    value.  The trapezoid stops once two levels agree to a thousandth of
+    that, or once doubling gains predict as much; a tolerance this loose
+    is usually met at the first level that converges, before any doubling
+    shows, so the early exit seldom saves a level here.  A
     malformed file, or one of the wrong shape (a missing key, a wrong
     type, a non-numeric string, h or a coefficient row of the wrong
     length), raises an OSError naming path (mpnum.load_json); a failed

@@ -84,13 +84,19 @@ def _horner(c, x):
 def integrate_trapezoid(f, iv, ctx, tol=None):
     """Trapezoidal rule for a vector-valued f negligible outside iv.
 
-    f(x) returns a sequence of real or complex values.  On an entire
-    integrand that decays super-exponentially the rule converges
-    exponentially in the node count (Trefethen & Weideman, SIAM Rev. 56
-    (2014) 385-458).  The step halves from 16 intervals until two
-    successive levels agree in every component k to tol(values)[k], by
-    default quad_rel_tol * (1 + |value_k|); each halving evaluates only
-    the new odd nodes.  Returns the list of integrals.  Raises
+    f(x) returns a sequence of real or complex values.  The step halves
+    from 16 intervals, each halving evaluating only the new odd nodes.
+    Level L is returned when levels L and L-1 agree in every component k
+    to tol(values)[k], by default quad_rel_tol * (1 + |value_k|); or,
+    with R_L the worst component's |I_L - I_{L-1}| / tol_k, when over the
+    last three levels the digits gained per halving have at least doubled,
+    the earlier halving gained a digit, and doubling the last gain once
+    more takes R below 1.  On an integrand analytic in a strip the error
+    falls like e^{-2 pi a/h} (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385-458), so each halving doubles the digits gained and the next
+    level's agreement can be predicted instead of computed; algebraic
+    error gains a steady or erratic fraction of a digit per halving and is
+    left to the first exit.  Returns the list of integrals.  Raises
     NonConvergent when max_panel_doublings halvings do not settle it.
     """
     lo, hi = mpf(iv.lo), mpf(iv.hi)
@@ -113,13 +119,28 @@ def integrate_trapezoid(f, iv, ctx, tol=None):
 
         add_nodes(lo + h, h, intervals - 1)
         prev = [h * s for s in acc]
+        # R_{L-2}, R_{L-1}, R_L; the floor keeps an exact agreement finite
+        floor = mpf(10) ** (-(ctx.digits + 10))
+        ratios = []
         for _ in range(ctx.max_panel_doublings):
             add_nodes(lo + h / 2, h, intervals)
             intervals *= 2
             h /= 2
             cur = [h * s for s in acc]
-            if all(abs(c - p) <= t for c, p, t in zip(cur, prev, tol(cur))):
+            diffs = [abs(c - p) for c, p in zip(cur, prev)]
+            tols = tol(cur)
+            if all(e <= t for e, t in zip(diffs, tols)):
                 return cur
+            ratios = ratios[-2:] + [max(
+                [floor] + [e / t if t else mp.inf
+                           for e, t in zip(diffs, tols)])]
+            if len(ratios) == 3:
+                r2, r1, r0 = ratios
+                # the gain doubled, the earlier gain was a digit, and one
+                # more doubling predicts R_{L+1} = R_L^3 / R_{L-1}^2 <= 1
+                if (r1 / r0 >= (r2 / r1) ** 2 >= 100
+                        and r0 ** 3 <= r1 ** 2):
+                    return cur
             prev = cur
     raise NonConvergent("trapezoid stalled at %d intervals" % intervals)
 

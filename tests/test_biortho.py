@@ -164,6 +164,45 @@ def test_moment_recurrence_keeps_its_guard_digits(coeffs):
                 assert abs(rect[i][j] - ref[i][j]) <= tol * ref[0][j], (i, j)
 
 
+@pytest.mark.parametrize("n", [6, 16])
+@pytest.mark.parametrize("coeffs", [QUARTIC, SEXTIC],
+                         ids=["quartic", "sextic"])
+def test_moment_rect_matches_fixed_step_trapezoid(coeffs, n, monkeypatch):
+    # an oracle with no stop rule: one fixed step, half the one at which
+    # the rule stopped, summed here at 40 more digits
+    V, ctx, size = Potential(coeffs), ctx_for(n), n + 2
+    real = integrate_trapezoid
+    nodes = []
+
+    def counted(f, iv, ctx, tol=None):
+        def g(x):
+            nodes.append(x)
+            return f(x)
+        return real(g, iv, ctx, tol)
+
+    monkeypatch.setattr(biortho, "integrate_trapezoid", counted)
+    rect, win = _moment_rect(V, n, size, size, ctx)
+    intervals = 2 * (len(nodes) - 1)
+    with mp.workdps(ctx.digits + 40):
+        lo, hi = mpf(win.lo), mpf(win.hi)
+        h = (hi - lo) / intervals
+        want = [[mpf(0)] * size for _ in range(size)]
+        for k in range(intervals + 1):
+            x = lo + k * h
+            col = (h / 2 if k in (0, intervals) else h) * exp(-n * V.V(x))
+            ex = exp(x)
+            for j in range(size):
+                power = col
+                for i in range(size):
+                    want[i][j] += power
+                    power *= x
+                col *= ex
+        tol = mpf(10) ** (-(ctx.digits + 8))
+        for i in range(size):
+            for j in range(size):
+                assert abs(rect[i][j] - want[i][j]) <= tol * want[0][j], (i, j)
+
+
 def test_moment_recurrence_certificate_fires(quad, ctx64, monkeypatch):
     # a row 0 off by 10^-(digits/2) propagates to the recurrence's top row,
     # which must then disagree with the top row's own quadrature

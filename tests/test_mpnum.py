@@ -44,9 +44,37 @@ def test_interval_ordering():
         RealInterval(2, 2)
 
 
+def _counted(f):
+    # f, and a one-item list that counts its evaluations
+    count = [0]
+
+    def g(x):
+        count[0] += 1
+        return f(x)
+    return g, count
+
+
+def _confirming_evals(f, lo, hi, tol):
+    # nodes the stop on two agreeing levels needs, each level summed afresh
+    with mp.workdps(CTX.digits + 10):
+        lo, hi = mpf(lo), mpf(hi)
+        prev, intervals = None, 16
+        while True:
+            h = (hi - lo) / intervals
+            cur = h * (sum(f(lo + k * h) for k in range(1, intervals))
+                       + (f(lo) + f(hi)) / 2)
+            if prev is not None and abs(cur - prev) <= tol:
+                return intervals + 1
+            prev, intervals = cur, 2 * intervals
+
+
 def test_trapezoid_integrates_gaussian_moments():
-    f = lambda x: (exp(-x * x), x * x * exp(-x * x), mpc(0, 1) * exp(-x * x))
+    f, count = _counted(
+        lambda x: (exp(-x * x), x * x * exp(-x * x), mpc(0, 1) * exp(-x * x)))
     got = integrate_trapezoid(f, RealInterval(-12, 12), CTX)
+    # the gains per halving grow from 6 to 23 digits, so the rule returns
+    # at 128 intervals; two agreeing levels would take 256
+    assert count[0] == 129
     with mp.workdps(60):
         root_pi = sqrt(mp.pi)
         assert abs(got[0] - root_pi) < mpf(10) ** -45
@@ -54,11 +82,56 @@ def test_trapezoid_integrates_gaussian_moments():
         assert abs(got[2] - mpc(0, root_pi)) < mpf(10) ** -45
 
 
+@pytest.mark.parametrize("e", [3, 4, 5, 6])
+@pytest.mark.parametrize("f,lo,hi,exact", [
+    # O(h^2) error with a steady constant
+    (exp, 0, 1, lambda: exp(1) - 1),
+    # the kink's place in its cell cycles, so the gains alternate between
+    # about 0.9 and 0.3 digits: a doubling with no acceleration behind it
+    (lambda x: abs(x - mpf("0.3")), -1, 1, lambda: mpf("1.09")),
+], ids=["exp", "kink"])
+def test_trapezoid_algebraic_error_takes_the_confirming_exit(
+        f, lo, hi, exact, e):
+    tol = mpf(10) ** -e
+    g, count = _counted(lambda x: (f(x),))
+    got, = integrate_trapezoid(g, RealInterval(lo, hi), CTX,
+                               lambda vals: [tol])
+    assert count[0] == _confirming_evals(f, lo, hi, tol)
+    with mp.workdps(60):
+        assert abs(got - exact()) <= tol
+
+
 def test_trapezoid_nonconvergent_on_jump(monkeypatch):
     monkeypatch.setattr(PrecisionContext, "max_panel_doublings", 2)
     f = lambda x: (mpf(1) if x > mpf('0.1234567') else mpf(0),)
     with pytest.raises(NonConvergent):
         integrate_trapezoid(f, RealInterval(0, 1), CTX)
+
+
+def test_trapezoid_jump_spends_the_whole_budget():
+    # O(h) error with an erratic constant never passes for acceleration
+    step = mpf("0.1234567")
+    f, count = _counted(lambda x: (mpf(1) if x > step else mpf(0),))
+    with pytest.raises(NonConvergent):
+        integrate_trapezoid(f, RealInterval(0, 1), CTX)
+    assert count[0] == 16 * 2 ** PrecisionContext.max_panel_doublings + 1
+
+
+def test_trapezoid_waits_for_its_slowest_component():
+    # e^{-x^2} alone returns at 128 intervals; the narrow e^{-400x^2} is
+    # still pre-asymptotic there and keeps the vector rule going
+    iv = RealInterval(-12, 12)
+    wide, n_wide = _counted(lambda x: (exp(-x * x),))
+    narrow, n_narrow = _counted(lambda x: (exp(-400 * x * x),))
+    both, n_both = _counted(lambda x: (exp(-x * x), exp(-400 * x * x)))
+    integrate_trapezoid(wide, iv, CTX)
+    integrate_trapezoid(narrow, iv, CTX)
+    got = integrate_trapezoid(both, iv, CTX)
+    assert n_wide[0] == 129
+    assert n_both[0] == n_narrow[0] > 1000
+    with mp.workdps(60):
+        assert abs(got[0] - sqrt(mp.pi)) < mpf(10) ** -45
+        assert abs(got[1] - sqrt(mp.pi / 400)) < mpf(10) ** -45
 
 
 def test_tanh_sinh_endpoint_singularities():
