@@ -16,11 +16,11 @@ from math import gcd
 from dataclasses import dataclass, field
 from fractions import Fraction
 from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
-                    conj, im, re)
+                    conj, im, re, ceil)
 
-from .mpnum import (RealInterval, NonConvergent, _horner, newton,
-                    integrate_tanh_sinh, num_to_str, str_to_num, json_int,
-                    cache_key, save_json, load_json)
+from .mpnum import (RealInterval, NonConvergent, PrecisionContext, _horner,
+                    newton, integrate_tanh_sinh, num_to_str, str_to_num,
+                    json_int, cache_key, save_json, load_json)
 
 
 class OnBranchCut(Exception):
@@ -181,8 +181,9 @@ def map_J(c1, c0, s, ctx=None):
     return val if im(s) != 0 else val.real
 
 
-def _J_real(c1, c0, s):
-    # real axis outside the cut; the log argument is positive there
+def _J(c1, c0, s):
+    # J off the cut [-1/2, 1/2], principal log; on the real axis outside
+    # the cut the log argument is positive
     return c1 * s + c0 - log((s - mpf('0.5')) / (s + mpf('0.5')))
 
 
@@ -195,14 +196,16 @@ def _s_b(c1):
 
 
 def _V_of_J(V, c1, c0, order):
-    """The Laurent series at infinity of V'(J(s)) (order 1) or V''(J(s))
-    (order 2), as {e: [s^e]}, exact for every e >= -1.
+    """The Laurent series at infinity of V(J(s)) (order 0), V'(J(s))
+    (order 1) or V''(J(s)) (order 2), as {e: [s^e]}, exact for every
+    e >= -1.
 
     Off the cut J = c1 s + c0 + sum_(k odd) 2^(1-k) s^-k / k.  Horner's
     products drop exponents below -(deg V + 1), which keeps the
-    coefficients from s^-1 up exact: in a product of p <= deg V - 1
-    factors J a term s^e meets at most s^(p-1), so only e >= -p reaches
-    s^-1, and a dropped term rises by at most deg V - 1, to below s^-2.
+    coefficients from s^-1 up exact: in a product of p <= deg V factors
+    J a term s^e meets at most s^(p-1), so only e >= -p reaches s^-1, and
+    a dropped term, with at most deg V - 1 products left, rises to below
+    s^-2.
     """
     low = -(V.degree + 1)
     J = {1: c1, 0: c0}
@@ -366,6 +369,12 @@ class _SigmaSeries:
     10^-(digits + 4), fixed here, whatever precision its caller runs at:
     c1 and c0 carry digits + 10 digits, so a tighter tolerance buys
     nothing, and next to an edge, where J' vanishes, it is never met.
+
+    F, F' and the g-functions need no series: they are closed forms in
+    the two roots s_in, s_out of J(s) = z inside and outside gamma
+    (_roots), through Phi = Pi - t log(s - 1/2), Pol and the constants C,
+    C~, all fixed when the engine is built (see F).  The series serves
+    the density, the moments and ell.
     """
 
     def __init__(self, V, t, c1, c0, P, Q, digits, series=None):
@@ -374,8 +383,8 @@ class _SigmaSeries:
         self.c1, self.c0 = c1, c0
         s_b = _s_b(c1)
         self.s_b = s_b
-        self.a = _J_real(c1, c0, -s_b)
-        self.b = _J_real(c1, c0, s_b)
+        self.a = _J(c1, c0, -s_b)
+        self.b = _J(c1, c0, s_b)
         self.mid = (self.a + self.b) / 2
         self.rad = (self.b - self.a) / 2
         A_ = mpf('0.5') - s_b
@@ -383,6 +392,13 @@ class _SigmaSeries:
         self.alpha = (A_ * P + B_ * Q) / (pi * sqrt(s_b))
         self.beta = (B_ * P + A_ * Q) / (pi * sqrt(s_b))
         self.tol = mpf(10) ** -(digits + 4)
+        # Pol, the nonnegative part of V'(J), and Pi, the positive part of
+        # V(J) (so Pi(0) = 0), with the constants C and C~ of g and g~
+        self.pol = _V_of_J(V, c1, c0, 1)
+        vj = _V_of_J(V, c1, c0, 0)
+        self.pi_c = [mpf(0)] + [vj[e] for e in range(1, V.degree + 1)]
+        self.C = log(c1) - vj[0] / t
+        self.C_tilde = c1 / 2 + c0 - _horner(self.pi_c, mpf('0.5')) / t
         if series is None:
             cn, sn = self._solve(digits)
         else:
@@ -510,8 +526,7 @@ class _SigmaSeries:
         double-log integral, checks the identity in the tests.
         """
         N, M4 = self.N, 4 * self.N
-        pol = _V_of_J(self.V, self.c1, self.c0, 1)
-        self.psi_v = [im(_pol_at(pol, s)) / (pi * self.t) for s in sig]
+        self.psi_v = [im(_pol_at(self.pol, s)) / (pi * self.t) for s in sig]
         # Chebyshev coefficients of psi/(rad sin)
         hval = [self.psi_v[i] / (self.rad * st[2 * i + 1])
                 for i in range(N)]
@@ -600,13 +615,162 @@ class _SigmaSeries:
         f2 = self.mu_int(lambda x: x + log(_phi_ratio(y - x)))
         return 2 * f1 + f2 - self.V.V(y) / self.t
 
-    def variational_slack(self, y):
-        f1 = self.mu_int(lambda x: log(abs(y - x)))
-        f2 = self.mu_int(lambda x: x + log(_phi_ratio(y - x)))
-        return 2 * f1 + f2 - self.V.V(y) / self.t - self.ell
+    def _real_roots(self, x):
+        """(s_in, s_out), the roots of J(s) = x inside and outside gamma,
+        for real x.
+
+        Inside (a, b) they are I_- and I_+ (iplus); at b or a the double
+        root +-s_b.  Right of b, J is convex on (1/2, oo), falls on
+        (1/2, s_b) and rises on (s_b, oo): safeguarded Newton takes s_in on
+        the first and s_out on the second, each seeded by the better of
+        the edge's square-root model and a bound J(s) > c1 s + c0 -
+        log(s - 1/2) gives.  Left of a, J(-s) = 2 c0 - J(s) mirrors them.
+        """
+        if self.a < x < self.b:
+            s = self.iplus(x)
+            return conj(s), s
+        if x == self.b or x == self.a:
+            s = self.s_b if x == self.b else -self.s_b
+            return s, s
+        if x < self.a:
+            s_in, s_out = self._real_roots(2 * self.c0 - x)
+            return -s_in, -s_out
+        c1, c0, s_b = self.c1, self.c0, self.s_b
+        half = mpf('0.5')
+        d = sqrt((x - self.b) / (s_b * c1 * c1))
+        # J(s) >= x left of the first bound and right of the second
+        near_half = half + exp(c1 / 2 + c0 - x)
+        far = max(s_b, (x - c0) / c1) + 1
+        J = lambda s: _J(c1, c0, s)
+        dJ = lambda s: _J_prime(c1, s)
+        return (_bracketed(J, dJ, x, half, s_b, False,
+                           max(near_half, s_b - d), self.tol),
+                _bracketed(J, dJ, x, s_b, far, True, min(far, s_b + d),
+                           self.tol))
+
+    def _roots(self, z, sides=(-1, 1)):
+        """The roots of J(s) = z that sides names, -1 for s_in and 1 for
+        s_out, at z off [a, b] when complex; s_in needs the strip
+        |Im z| < pi.
+
+        For 0 < Im z < pi, J maps the part of gamma's outside above the
+        real axis onto the upper half plane and the part of its inside
+        below the axis onto the upper half strip, so s_out is the one root
+        with Im s > 0 and s_in the one with Im s < 0 (mirrored below the
+        axis).  That sign certifies a root whatever path found it.  Each
+        is tracked up the vertical segment from the real roots at Re z
+        (_real_roots, _track).
+        """
+        x, y = re(z), im(z)
+        if y < 0:
+            # J(conj s) = conj J(s), and gamma is symmetric about the axis
+            return tuple(conj(s) for s in self._roots(conj(z), sides))
+        if -1 in sides and y >= pi:
+            raise ValueError("s_in exists only in the strip |Im z| < pi")
+        pair = self._real_roots(x)
+        return tuple(pair[side > 0] if y == 0 else
+                     self._track(x, y, pair[side > 0], side)
+                     for side in sides)
+
+    def Phi_in(self, z):
+        """Phi(s_in) at z off [a, b], continued 2 pi i periodically in z as
+        g~ is: Im z is first reduced to (-pi, pi].  On the line Im z = pi,
+        s_in is the root on the cut [-1/2, 1/2] approached from below, where
+        J(s) = c1 s + c0 - log((1/2 - s)/(1/2 + s)) + i pi rises from -oo to
+        oo and log(s - 1/2) = log(1/2 - s) - i pi."""
+        y = +im(z)
+        y -= 2 * pi * ceil((y - pi) / (2 * pi))
+        if y != pi:
+            return self.Phi(self._roots(mpc(re(z), y), (-1,))[0])
+        c1, c0, half = self.c1, self.c0, mpf('0.5')
+        s = _bracketed(lambda s: c1 * s + c0 - log((half - s) / (half + s)),
+                       lambda s: c1 + 1 / (half * half - s * s), re(z),
+                       -half, half, True, mpf(0), self.tol)
+        return (_horner(self.pi_c, s) - self.t * log(half - s)
+                + mpc(0, pi) * self.t)
+
+    def _track(self, x, y, s, side):
+        """The root of J = x + iy, y > 0, with sign(Im s) = side, from the
+        root s of J = x (see _roots).  Each step seeds Newton from J's
+        quadratic model at the last root, taking the model's root on the
+        right side of the axis; a step whose root fails the sign test is
+        halved.  Raises NonConvergent after 4 newton_max_iter steps and
+        halvings."""
+        c1, c0 = self.c1, self.c0
+        done, h = mpf(0), y
+        for _ in range(4 * PrecisionContext.newton_max_iter):
+            last = h >= y - done
+            target = mpc(x, y if last else done + h)
+            # J(s + e) = J(s) + J'e + J''e^2/2 through the last target
+            j1 = _J_prime(c1, s)
+            j2 = 2 * s / (s * s - mpf('0.25')) ** 2
+            root = sqrt(j1 * j1 + 2 * j2 * (target - mpc(x, done)))
+            q = -(j1 + root if abs(j1 + root) >= abs(j1 - root)
+                  else j1 - root) / 2
+            seeds = [s + e for e in (2 * q / j2, (mpc(x, done) - target) / q)
+                     if side * im(s + e) > 0]
+            try:
+                new = newton(lambda w: (_J(c1, c0, w) - target)
+                             / _J_prime(c1, w),
+                             min(seeds, key=lambda w: abs(w - s)), self.tol)
+            except (ValueError, ZeroDivisionError, NonConvergent):
+                new = None
+            if new is None or not side * im(new) > 0:
+                h = (y - done if last else h) / 2
+                continue
+            if last:
+                return new
+            s, done = new, done + h
+        raise NonConvergent("no root of J(s) = %s on its side of the real "
+                            "axis" % mp.nstr(mpc(x, y), 8))
+
+    def Phi(self, s):
+        """Pi(s) - t log(s - 1/2), principal log: the one function that the
+        gluing of _density makes of V(J) - t g(J) outside gamma and of
+        t g~(J) inside."""
+        return _horner(self.pi_c, s) - self.t * log(mpc(s) - mpf('0.5'))
 
     def F(self, z):
-        return self.t / 2 * self.mu_int(lambda s: s + log(_phi_ratio(z - s)))
+        """F(z) = [Phi(s_in) + Phi(s_out) - V(z)]/2 + t (C~ - C)/2 on the
+        strip |Im z| < pi, real on the real axis.
+
+        F = t (g~ - g)/2, and g = (V - Phi(s_out))/t + C, g~ =
+        Phi(s_in)/t + C~ (g_functions).  On each half strip both sides are
+        continuous with principal logs and meet on (b, oo), so they agree.
+        On the real axis the imaginary parts cancel (s_in and s_out are
+        real, or a conjugate pair) and only real parts are kept.
+        """
+        s_in, s_out = self._roots(z)
+        val = ((self.Phi(s_in) + self.Phi(s_out) - self.V.V(z)) / 2
+               + self.t * (self.C_tilde - self.C) / 2)
+        return val if im(z) != 0 else re(val)
+
+    def F_prime(self, z):
+        """F'(z) = [Pol(s_in) + Pol(s_out) - V'(z)]/2, since d Phi/ds =
+        J' Pol; on (a, b) it is Re Pol(I_+(x)) - V'(x)/2."""
+        s_in, s_out = self._roots(z)
+        val = (_pol_at(self.pol, s_in) + _pol_at(self.pol, s_out)
+               - self.V.Vp(z)) / 2
+        return val if im(z) != 0 else re(val)
+
+
+def _bracketed(J, dJ, x, lo, hi, rising, s, tol):
+    """The real root of J(s) = x on (lo, hi), where J rises (rising) or
+    falls, by Newton from s; a step that leaves the bracket, which every
+    iterate narrows, bisects it instead."""
+
+    def step(s):
+        nonlocal lo, hi
+        f = J(s) - x
+        if (f > 0) == rising:
+            hi = s
+        else:
+            lo = s
+        new = s - f / dJ(s)
+        # a root met to the last bit is an end of the bracket itself
+        return s - (new if lo < new < hi or new == s else (lo + hi) / 2)
+
+    return newton(step, min(max(s, lo), hi), tol)
 
 
 def _phi_ratio(w):
@@ -621,8 +785,9 @@ def _phi_ratio(w):
 def build_equilibrium(V, t, ctx, cache_dir=None):
     """Solve the full equilibrium problem, returning EquilibriumData.
 
-    The attached series engine powers the density table, g-functions, F
-    and the Lagrange constant.  It sizes its Fourier node count from the
+    The attached series engine powers the density table and the Lagrange
+    constant, and carries the closed forms of F, F' and the g-functions
+    in the roots of J(s) = z.  It sizes its Fourier node count from the
     decay of its own coefficients (see _SigmaSeries), never above the
     max(96, 4*digits) nodes of the unsized engine.  The cache entry holds
     the solve (c1, c0) and the engine's solved series: a hit skips the
@@ -775,26 +940,33 @@ def endpoint_derivatives(eq, ctx):
 
 
 def g_functions(eq, z, ctx):
-    """The two log-transforms of the measure at z off (-inf, b]."""
+    """The two log-transforms g = int log(z - x) dmu and g~ = int log(e^z -
+    e^x) dmu at z off (-inf, b], principal logs.
+
+    From the roots of J(s) = z outside and inside gamma (see
+    _SigmaSeries.F): g = (V(z) - Phi(s_out))/t + C and g~ = Phi(s_in)/t +
+    C~, with C = log c1 - [V(J)]_0/t and C~ = c1/2 + c0 - Pi(1/2)/t.
+    """
     eng = _require_engine(eq)
-    z = mpc(z)
-    if im(z) == 0 and re(z) <= eq.b:
-        raise ValueError("g functions need z off the half line up to b")
     with mp.workdps(ctx.digits + 10):
-        g = eng.mu_int(lambda s: log(z - s))
-        g_tilde = eng.mu_int(lambda s: log(exp(z) - exp(s)))
+        z = mpc(z)
+        if im(z) == 0 and re(z) <= eq.b:
+            raise ValueError("g functions need z off the half line up to b")
+        g = (eng.V.V(z) - eng.Phi(eng._roots(z, (1,))[0])) / eq.t + eng.C
+        g_tilde = eng.Phi_in(z) / eq.t + eng.C_tilde
         if im(z) == 0:
             g, g_tilde = g.real, g_tilde.real
         return +g, +g_tilde
 
 
 def F_function(eq, z, ctx):
-    """Conjugation function F_t, analytic on the strip |Im z| < pi."""
+    """Conjugation function F_t, analytic on the strip |Im z| < pi: in
+    closed form from the two roots of J(s) = z (_SigmaSeries.F)."""
     eng = _require_engine(eq)
-    z = mpc(z)
-    if not abs(im(z)) < pi:
-        raise ValueError("F is only defined on the strip |Im z| < pi")
     with mp.workdps(ctx.digits + 10):
+        z = mpc(z)
+        if not abs(im(z)) < pi:
+            raise ValueError("F is only defined on the strip |Im z| < pi")
         val = eng.F(z)
         return +(val.real if im(z) == 0 else val)
 
@@ -815,10 +987,13 @@ def lagrange_constant(eq, ctx):
 
 
 def effective_potential(eq, x, ctx):
-    """Variational slack at a point outside the support (negative there)."""
+    """Variational slack at a real point, negative outside the support and
+    zero on it: Re g + Re g~ - V/t - ell = Re[Phi(s_in) - Phi(s_out)]/t,
+    as ell = Re(C + C~) (see g_functions)."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
-        return +eng.variational_slack(mpf(x))
+        s_in, s_out = eng._roots(mpf(x))
+        return +(re(eng.Phi(s_in) - eng.Phi(s_out)) / eq.t)
 
 
 def reflect_potential(V, n):

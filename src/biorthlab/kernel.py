@@ -147,14 +147,6 @@ def airy_kernel_integral(xi, eta, L, ctx):
 # scaled limits
 
 
-def _f_prime(eq, x, ctx):
-    # central difference; F has no closed-form derivative here
-    eng = _require_engine(eq)
-    with mp.workdps(ctx.digits + 10):
-        h = mpf(10) ** (-(ctx.digits // 4))
-        return +((eng.F(x + h) - eng.F(x - h)) / (2 * h))
-
-
 def _grid_values(sys, eq, regime, grid, ctx, x_star=None):
     """Values and references over grid, in grid order, and the work done.
 
@@ -163,12 +155,14 @@ def _grid_values(sys, eq, regime, grid, ctx, x_star=None):
     right edge, a - xi/c at the left, the identity for raw.  Each distinct
     abscissa gets F once (edge and raw), ptilde where it is a u and qtilde
     where it is a v; each distinct xi or eta gets Ai and Ai' once (edge).
-    The bulk checks x_star, evaluates psi(x_star) and F'(x_star) and forms
-    the scale once.  Step 2 costs a point one diagonal sum, its
-    conjugation or linearized factor and its reference.  The kernel sum
-    runs at sys.digits + 10 and the rest at ctx.digits + 10, with the same
-    operations in the same order as a one-point grid, so a grid's numbers
-    equal its points' one-point results.  Nothing is kept past the call.
+    The bulk checks x_star, evaluates psi(x_star) and the exact F'(x_star)
+    = Re Pol(I_+(x_star)) - V'(x_star)/2 (_SigmaSeries.F_prime), and forms
+    the scale once; it evaluates no F.  Step 2 costs a point one diagonal
+    sum, its conjugation or linearized factor and its reference.  The
+    kernel sum runs at sys.digits + 10 and the rest at ctx.digits + 10,
+    with the same operations in the same order as a one-point grid, so a
+    grid's numbers equal its points' one-point results.  Nothing is kept
+    past the call.
     """
     eng = _require_engine(eq)
     n = sys.n
@@ -181,7 +175,7 @@ def _grid_values(sys, eq, regime, grid, ctx, x_star=None):
                                   % (x_star, eq.a, eq.b))
             dens = eng.psi(x_star)
             scale = dens * n
-            fp = _f_prime(eq, x_star, ctx)
+            fp = eng.F_prime(x_star)
 
             def place(s):
                 return x_star + s / scale
@@ -222,10 +216,8 @@ def _grid_values(sys, eq, regime, grid, ctx, x_star=None):
             else:
                 values.append(_conjugation(n, F[x], F[y]) * k / c)
                 refs.append(_airy_from_table(xi, eta, ai))
-    # the bulk's F evaluations are _f_prime's two-point stencil
-    work = {"abscissae": len(abscissae),
-            "F_evals": 2 if regime == "bulk" else len(F),
-            "airy_evals": len(ai)}
+    work = {"abscissae": len(abscissae), "F_evals": len(F),
+            "F_prime_evals": int(regime == "bulk"), "airy_evals": len(ai)}
     return values, refs, work
 
 
@@ -241,7 +233,8 @@ def bulk_scaled(sys, eq, x_star, xi, eta, ctx):
 
     Returns (value, reference).  The residual conjugation across the
     window is applied in linearized form e^{F'(x_star)(xi - eta)/psi},
-    F' by central difference.  Raises OutsideBulk unless a < x_star < b.
+    F' exact from the inverse map (_SigmaSeries.F_prime).  Raises
+    OutsideBulk unless a < x_star < b.
     A one-point bulk grid of _grid_values.
     """
     values, refs, _work = _grid_values(sys, eq, "bulk", ((xi, eta),), ctx,
@@ -521,8 +514,10 @@ def evaluate_request(sys, eq, req, ctx):
     or coordinate, and each point then costs one O(n) diagonal sum.
     Bulk requests check x_star, evaluate psi(x_star) and F'(x_star) once
     and raise OutsideBulk unless a < x_star < b.  runtime_meta records
-    the work: the distinct abscissae among u and v, the F evaluations and
-    the Airy evaluations, with the wall time in seconds.
+    the work: the distinct abscissae among u and v (`abscissae`), the F
+    evaluations (`F_evals`, none in the bulk), the F' evaluations
+    (`F_prime_evals`, one in the bulk) and the Airy evaluations
+    (`airy_evals`), with the wall time in seconds.
     """
     t0 = time.perf_counter()
     values, refs, work = _grid_values(sys, eq, req.regime, req.grid, ctx,

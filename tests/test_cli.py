@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import types
+from unittest import mock
 
 import pytest
 from mpmath import mp, mpf
@@ -452,6 +454,46 @@ def test_diagnostics_command_small_m_window(tmp_path):
     assert main(["--config", cfgp, "diagnostics"]) == EXIT_OK
     arows = _read_csv(tmp_path / "out" / "alpha_limits.csv")
     assert [r[0] for r in arows[1:]] == ["-1", "0", "1", "2", "3"]
+
+
+def test_figures_render_through_a_stub_pyplot(tmp_path, monkeypatch):
+    # matplotlib is an optional extra; a stub in sys.modules runs every
+    # renderer of _plotting, with a savefig that writes the file
+    def savefig(path, **kw):
+        with open(path, "wb") as fh:
+            fh.write(b"stub png")
+
+    def subplots(nrows=1, ncols=1, **kw):
+        axes = tuple(mock.Mock() for _ in range(nrows * ncols))
+        fig = mock.Mock(savefig=mock.Mock(side_effect=savefig))
+        return fig, axes if len(axes) > 1 else axes[0]
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = mock.Mock(side_effect=subplots)
+    pyplot.close = mock.Mock()
+    mpl = types.ModuleType("matplotlib")
+    mpl.use = mock.Mock()
+    mpl.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    out = tmp_path / "out"
+    cfgp = _write_cfg(tmp_path, t_list=["1", "1/2"], n_list=[3, 4],
+                      digits=48, grid=[["0", "0"], ["0.25", "-0.25"]],
+                      m_window=3, output_dir=str(out))
+    expect = {"equilibrium": ["equilibrium.png"],
+              "biortho": ["biortho.png"],
+              "universality": ["universality_bulk.png",
+                               "universality_bulk_decay.png"],
+              "diagnostics": ["diagnostics.png"]}
+    for command, pngs in expect.items():
+        assert main(["--config", cfgp, command]) == EXIT_OK
+        summary = json.loads((out / ("%s_summary.json" % command))
+                             .read_text())
+        assert summary["figures"] == [str(out / png) for png in pngs]
+        for png in pngs:
+            assert (out / png).read_bytes() == b"stub png"
+    mpl.use.assert_called_with("Agg")
+    assert pyplot.close.call_count == pyplot.subplots.call_count == 5
 
 
 def test_verify_command(tmp_path, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import conj, im, log, mp, mpc, mpf, pi, sqrt
+from mpmath import conj, exp, expm1, im, log, mp, mpc, mpf, pi, sqrt
 
 from biorthlab.equilibrium import (
     BranchEscape,
@@ -340,6 +340,85 @@ def test_g_functions_asymptotics(eq_unit, ctx96):
         g_functions(eq_unit, 0, ctx96)
 
 
+# --- F, F', g and g~ in closed form ------------------------------------------
+
+def _node_sum_F(eng, z):
+    """F = (t/2) int [x + log((e^(z-x) - 1)/(z - x))] dmu as the engine's
+    N-node sum: the integrand is analytic within 2 pi of the support, so
+    the sum is spectrally accurate at every z of the strip."""
+    return eng.t / 2 * eng.mu_int(
+        lambda x: x + log(equilibrium._phi_ratio(z - x)))
+
+
+def _node_sum_F_prime(eng, z):
+    # the sum's derivative: d/dw log((e^w - 1)/w) = 1/(1 - e^-w) - 1/w;
+    # nodes stay apart from every test point, so the cancellation costs
+    # digits that the extra precision of the caller covers
+    return eng.t / 2 * eng.mu_int(
+        lambda x: -1 / expm1(x - z) - 1 / (z - x))
+
+
+@pytest.mark.parametrize("t", ["1/2", "1", "2"])
+@pytest.mark.parametrize("coeffs", [QUAD, QUARTIC, SEXTIC],
+                         ids=["quad", "quartic", "sextic"])
+def test_closed_F_matches_node_sum(coeffs, t):
+    digits = 48
+    ctx = PrecisionContext.for_digits(digits)
+    eq = build_equilibrium(Potential(coeffs), t, ctx)
+    eng = eq._engine
+    with mp.workdps(digits + 30):
+        a, b = eq.a, eq.b
+        tiny = mpf(10) ** -6
+        real = (a, b, b + tiny, a - tiny, b + mpf("0.05"), b + 3, a - 3,
+                b + 10, a - 10, a + mpf("0.01"), b - mpf("0.01"),
+                (a + b) / 2)
+        cplx = (mpc((a + b) / 2, "0.7"), mpc(b + mpf("0.3"), "-1.2"),
+                mpc(a - 1, "2.5"), mpc(b, "0.4"), mpc(b + tiny, 1))
+        for z in real + cplx:
+            with mp.workdps(digits + 10):
+                got, got_p = eng.F(z), eng.F_prime(z)
+            assert isinstance(got, mpc) == (z in cplx)
+            ref = _node_sum_F(eng, z)
+            assert abs(got - ref) < mpf(10) ** -digits * (1 + abs(ref)), z
+            ref_p = _node_sum_F_prime(eng, z)
+            assert abs(got_p - ref_p) < mpf(10) ** -digits * (1 + abs(ref_p)), z
+
+
+def test_g_functions_match_quadrature(quartic):
+    # g and g~ against mp.quad of the log-transforms of the engine's density;
+    # next to the support the integrand is all but singular at x = z
+    digits = 48
+    ctx = PrecisionContext.for_digits(digits)
+    eq = build_equilibrium(quartic, 1, ctx)
+    eng = eq._engine
+    with mp.workdps(digits + 10):
+        a, b = eq.a, eq.b
+        points = (b + mpf("0.01"), b + mpf(10) ** -6, b + mpf("0.5"),
+                  mpc(b - 1, "0.8"), mpc(a - 1, -2), mpc(b + mpf("0.5"), 7),
+                  mpc((a + b) / 2, pi))
+        cuts = [a, (a + b) / 2, b - mpf("0.01"), b - mpf(10) ** -4, b]
+    psi = {}
+
+    def dmu(x):
+        # the quadratures share their nodes; evaluate the density once
+        if x not in psi:
+            psi[x] = eng.psi(x)
+        return psi[x]
+
+    for z in points:
+        g, g_tilde = g_functions(eq, z, ctx)
+        with mp.workdps(digits + 5):
+            if im(z) == pi:
+                # e^z = -e^Re(z): the principal log's imaginary part is pi
+                tilde = lambda x: log(exp(z.real) + exp(x)) + mpc(0, pi)
+            else:
+                tilde = lambda x: log(exp(z) - exp(x))
+            ref = mp.quad(lambda x: log(z - x) * dmu(x), cuts)
+            ref_tilde = mp.quad(lambda x: tilde(x) * dmu(x), cuts)
+            assert abs(g - ref) < mpf(10) ** -45, z
+            assert abs(g_tilde - ref_tilde) < mpf(10) ** -45, z
+
+
 def test_f_function_strip(eq_unit, ctx96):
     with mp.workdps(110):
         v = F_function(eq_unit, mpf("0.7"), ctx96)
@@ -369,7 +448,7 @@ def test_sized_engine_matches_unsized(coeffs, digits, monkeypatch):
         tol = mpf(10) ** -digits
         inside = (eng.mid - eng.rad / 3, eng.mid + eng.rad / 2)
         for z in inside + (eq.b + mpf("0.05"), eq.a - mpf("0.1")):
-            assert abs(eng.F(z) - old.F(z)) < tol
+            assert abs(_node_sum_F(eng, z) - _node_sum_F(old, z)) < tol
         for x in inside:
             assert abs(eng.psi(x) - old.psi(x)) < tol
         for name in ("ell", "mass", "alpha", "beta"):
