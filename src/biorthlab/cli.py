@@ -211,10 +211,8 @@ def _get_system(cfg, V, n, m, ctx):
 
 
 def _equilibrium_meta(eq):
-    # engine size, its certified series tail and the cache outcome
-    eng = _require_engine(eq)
-    return {"fourier_nodes": eng.N, "fourier_tail": float(eng.tail),
-            "equilibrium_cache": eq.cache}
+    # how build_equilibrium met its cache
+    return {"equilibrium_cache": eq.cache}
 
 
 def _delta_degrees(cfg, n):

@@ -11,16 +11,18 @@ makes the endpoint-derivative and Jacobian-determinant identities hold as
 stated, so the square-root edge law reads t * psi(b - eps) ~ beta * sqrt(eps).
 """
 
+import cmath
+import math
 import os
-from math import gcd
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
                     conj, im, re, ceil)
 
 from .mpnum import (RealInterval, NonConvergent, PrecisionContext, _horner,
                     newton, integrate_tanh_sinh, num_to_str, str_to_num,
-                    json_int, cache_key, save_json, load_json)
+                    cache_key, save_json, load_json)
 
 
 class OnBranchCut(Exception):
@@ -288,6 +290,403 @@ def _newton_coefficients(V, t, guess, ctx):
     raise NonConvergent("coefficient newton exhausted its iterations")
 
 
+# Next to an edge J' vanishes and a root of J(s) = z in double precision
+# keeps only about half its digits; within _EDGE_SEED * rad of an edge the
+# square-root model of J there seeds mpmath's Newton instead
+# (_SigmaSeries._edge_seed).  _FLOAT_TOL is the double-precision Newton
+# tolerance, a few units in the last place.
+_EDGE_SEED = 1e-4
+_FLOAT_TOL = 1e-15
+
+
+class _FloatRoots:
+    """The roots of J(s) = z in double precision (math, cmath), for c1 and
+    c0 rounded to floats: the seeds of every mpmath root of J.
+
+    They run mpnum.newton and _bracketed, which work at the precision of
+    their arguments, floats included; a seed costs microseconds, and from
+    its 16 digits mpmath's Newton doubles the digits per step.
+    """
+
+    def __init__(self, c1, c0):
+        self.c1, self.c0 = c1, c0 = float(c1), float(c0)
+        self.s_b = s_b = math.sqrt(0.25 + 1 / c1)
+        self.b = self.J(s_b)
+        self.u_b = math.log(s_b - 0.5)
+        # gamma's top i y_top: _arc2 falls from 1/4 + 1/c1 at y = 0 to
+        # -oo at y = pi/c1, as y cot(c1 y) falls there
+        self.y_top = _bracketed(self._arc2, self._arc2_prime, 0.0, 0.0,
+                                math.pi / c1, False, 1 / c1, _FLOAT_TOL)
+
+    def J(self, s):
+        log_ = cmath.log if isinstance(s, complex) else math.log
+        return self.c1 * s + self.c0 - log_((s - 0.5) / (s + 0.5))
+
+    def J_prime(self, s):
+        return self.c1 - 1 / (s * s - 0.25)
+
+    def _arc2(self, y):
+        """(Re s)^2 at the point s of gamma at height y > 0.
+
+        Im J(s) = c1 y - arg((s - 1/2)/(s + 1/2)) vanishes on gamma, so s
+        sees the cut under the angle c1 y: it lies on the circle through
+        +-1/2 with centre i cot(c1 y)/2, where (Re s)^2 = 1/4 +
+        y cot(c1 y) - y^2.
+        """
+        u = self.c1 * y
+        return 0.25 + y * math.cos(u) / math.sin(u) - y * y
+
+    def _arc2_prime(self, y):
+        u = self.c1 * y
+        sin_u = math.sin(u)
+        return math.cos(u) / sin_u - u / (sin_u * sin_u) - 2 * y
+
+    def iplus(self, x):
+        """I_+(x) for a < x < b, the root of J(s) = x on gamma's upper arc.
+
+        Right of c0 = J(i y_top) it lies on the arc's right half, s = X +
+        i y with X^2 = _arc2(y), where Re J falls from b at y = 0 to c0 at
+        y_top: a bracketed solve in y, then Newton in s, since next to the
+        top X = sqrt(_arc2) is ill-conditioned in y.  Left of c0, J(-conj
+        s) = 2 c0 - conj J(s) mirrors it.
+        """
+        if x < self.c0:
+            return -self.iplus(2 * self.c0 - x).conjugate()
+
+        def arc(y):
+            return complex(math.sqrt(max(self._arc2(y), 0.0)), y)
+
+        def re_J_prime(y):
+            s = arc(y)
+            if s.real == 0:
+                return -math.inf
+            jp = self.J_prime(s)
+            return jp.real * self._arc2_prime(y) / (2 * s.real) - jp.imag
+
+        y0 = math.sqrt(max(self.b - x, 0.0) / (self.s_b * self.c1 ** 2))
+        y = _bracketed(lambda y: self.J(arc(y)).real, re_J_prime, x, 0.0,
+                       self.y_top, False, min(y0, self.y_top / 2),
+                       _FLOAT_TOL)
+        return newton(lambda s: (self.J(s) - x) / self.J_prime(s), arc(y),
+                      _FLOAT_TOL)
+
+    def real_roots(self, x):
+        """(log(s_in - 1/2), s_out) for x > b (see _SigmaSeries._real_roots).
+
+        Far right of b, s_in - 1/2 ~ e^(c1/2 + c0 - x) falls below the
+        resolution of 1/2, so s_in is solved for in u = log(s - 1/2),
+        where J = c1 (1/2 + e^u) + c0 - u + log(1 + e^u) is convex and
+        falls left of u_b; J > c1/2 + c0 - u puts the root right of lo.
+        J > c1 s + c0 puts s_out left of far.
+        """
+        c1, c0 = self.c1, self.c0
+        lo = min(c1 / 2 + c0 - x, self.u_b - 1)
+        u = _bracketed(
+            lambda u: c1 * (0.5 + math.exp(u)) + c0 - u
+            + math.log1p(math.exp(u)),
+            lambda u: c1 * math.exp(u) - 1 / (1 + math.exp(u)),
+            x, lo, self.u_b, False, lo, _FLOAT_TOL)
+        far = max(self.s_b, (x - c0) / c1) + 1
+        s = _bracketed(self.J, self.J_prime, x, self.s_b, far, True, far,
+                       _FLOAT_TOL)
+        return u, s
+
+    def pair(self, x):
+        """(s_in, s_out) at real x, or about them: +-s_b within _EDGE_SEED
+        rad of an edge."""
+        a = 2 * self.c0 - self.b
+        near = _EDGE_SEED * (self.b - a) / 2
+        if abs(x - self.b) < near or abs(x - a) < near:
+            s = self.s_b if abs(x - self.b) < near else -self.s_b
+            return s, s
+        if a < x < self.b:
+            s = self.iplus(x)
+            return s.conjugate(), s
+        u, s = self.real_roots(max(x, 2 * self.c0 - x))
+        sign = 1 if x > self.b else -1
+        return sign * (0.5 + math.exp(u)), sign * s
+
+    def track(self, x, y, s, side):
+        """The root of J = x + iy, y > 0, with sign(Im s) = side, from s
+        near a root of J = x (pair).  Each step seeds Newton from J's
+        quadratic model at the last root, taking the model's root on the
+        right side of the axis; a step whose root fails the sign test is
+        halved.  Raises NonConvergent after 4 newton_max_iter steps and
+        halvings."""
+        done, h = 0.0, y
+        for _ in range(4 * PrecisionContext.newton_max_iter):
+            last = h >= y - done
+            target = complex(x, y if last else done + h)
+            # J(s + e) = J(s) + J'e + J''e^2/2 through target
+            gap = target - self.J(complex(s))
+            j1 = self.J_prime(s)
+            j2 = 2 * s / (s * s - 0.25) ** 2
+            root = cmath.sqrt(j1 * j1 + 2 * j2 * gap)
+            q = -(j1 + root if abs(j1 + root) >= abs(j1 - root)
+                  else j1 - root) / 2
+            try:
+                seeds = [s + e for e in (2 * q / j2, -gap / q)
+                         if side * (s + e).imag > 0]
+                new = newton(lambda w: (self.J(w) - target) / self.J_prime(w),
+                             min(seeds, key=lambda w: abs(w - s)), _FLOAT_TOL)
+            except (ValueError, ZeroDivisionError, NonConvergent):
+                new = None
+            if new is None or not side * new.imag > 0:
+                h = (y - done if last else h) / 2
+                continue
+            if last:
+                return new
+            s, done = new, done + h
+        raise NonConvergent("no root of J(s) = %r on its side of the real "
+                            "axis" % complex(x, y))
+
+
+class _SigmaSeries:
+    """The equilibrium engine: the closed forms in the roots of J(s) = z.
+
+    Built from (c1, c0) and the contour integrals P, Q, it holds s_b, the
+    support [a, b], the edge constants alpha and beta, Pol (the
+    nonnegative part of V'(J)), Pi (the positive part of V(J), so Pi(0) =
+    0), the constants C and C~ of g and g~ (see g_functions) and ell =
+    Re(C + C~) (see effective_potential).  The density psi(x) =
+    Im Pol(I_+(x)) / (pi t), and F, F' and the g-functions, are closed
+    forms in the two roots s_in, s_out of J(s) = z inside and outside
+    gamma (_roots), through Phi = Pi - t log(s - 1/2).
+
+    Every root starts from its double-precision value (_FloatRoots),
+    next to an edge from J's square-root model there (_edge_seed), and
+    mpmath's Newton refines it to the engine's own tolerance 10^-(digits
+    + 4), fixed here whatever precision its caller runs at: c1 and c0
+    carry digits + 10 digits, so a tighter tolerance buys nothing, and
+    next to an edge, where J' vanishes, it is never met.
+
+    The Fourier series of sigma(theta) = I_+(mid + rad cos(theta)), which
+    the integrals over the measure need (the mass, mu_int, ell_at), is
+    built on first use (series).
+    """
+
+    def __init__(self, V, t, c1, c0, P, Q, digits):
+        self.V = V
+        self.t = t
+        self.c1, self.c0 = c1, c0
+        self.digits = digits
+        s_b = _s_b(c1)
+        self.s_b = s_b
+        self.a = _J(c1, c0, -s_b)
+        self.b = _J(c1, c0, s_b)
+        self.mid = (self.a + self.b) / 2
+        self.rad = (self.b - self.a) / 2
+        A_ = mpf('0.5') - s_b
+        B_ = mpf('0.5') + s_b
+        self.alpha = (A_ * P + B_ * Q) / (pi * sqrt(s_b))
+        self.beta = (B_ * P + A_ * Q) / (pi * sqrt(s_b))
+        self.tol = mpf(10) ** -(digits + 4)
+        self.pol = _V_of_J(V, c1, c0, 1)
+        vj = _V_of_J(V, c1, c0, 0)
+        self.pi_c = [mpf(0)] + [vj[e] for e in range(1, V.degree + 1)]
+        self.C = log(c1) - vj[0] / t
+        self.C_tilde = c1 / 2 + c0 - _horner(self.pi_c, mpf('0.5')) / t
+        self.ell = self.C + self.C_tilde
+        self._float = _FloatRoots(c1, c0)
+
+    @cached_property
+    def series(self):
+        # at the engine's precision, whatever its first caller runs at
+        with mp.workdps(self.digits + 10):
+            return _FourierSeries(self, self.digits)
+
+    @property
+    def mass(self):
+        return self.series.mass
+
+    def invert(self, x, s0):
+        """The root of J(s) = x that Newton's iteration reaches from s0."""
+        c1, c0 = self.c1, self.c0
+        return newton(lambda s: (map_J(c1, c0, s) - x) / _J_prime(c1, s),
+                      s0, self.tol)
+
+    def _near_edge(self, z):
+        return min(abs(z - self.a), abs(z - self.b)) < _EDGE_SEED * self.rad
+
+    def _edge_seed(self, z, side=1):
+        """The root of J's square-root model at the nearer edge e = +-s_b,
+        J(e + w) = J(e) + e c1^2 w^2, with sign(Im) = side."""
+        e = self.s_b if abs(z - self.b) <= abs(z - self.a) else -self.s_b
+        w = sqrt((z - (self.b if e > 0 else self.a)) / (e * self.c1 ** 2))
+        return e + w if side * im(w) > 0 else e - w
+
+    def iplus_seed(self, x):
+        """The seed of I_+(x) for a < x < b."""
+        if self._near_edge(x):
+            return self._edge_seed(x)
+        return mpc(self._float.iplus(float(x)))
+
+    def iplus(self, x):
+        s = self.invert(x, self.iplus_seed(x))
+        if im(s) < 0:
+            s = conj(s)
+        return s
+
+    def psi(self, x):
+        """The density, Im Pol(I_+(x)) / (pi t) on (a, b) and 0 off it.
+
+        The gluing of Claeys & Romano (Nonlinearity 27 (2014) 2419-2444):
+        G(z) = int dnu(y)/(z - y) and G~(z) = int e^z dnu(y)/(e^z - e^y),
+        nu = t psi dx, both jump by -2 pi i psi_nu across (a, b), where the
+        derivative of the variational condition reads
+        G_+ + G_- + G~_+ + G~_- = 2 V'; so G_+ + G~_- = V' there.  J maps
+        the outside of the curve gamma through +-s_b onto C minus [a, b],
+        and its inside, cut along [-1/2, 1/2], onto the strip |Im z| < pi
+        minus [a, b]; crossing gamma's upper arc inwards crosses (a, b)
+        downwards.  So V'(J) - G(J) outside gamma and G~(J) inside glue
+        into one function Phi.  G~ is 2 pi i periodic, so Phi does not see
+        J's jump across the cut, and it tends to t and 0 at s = 1/2 and
+        -1/2, where Re J runs to +-infinity.  Phi is entire and, as
+        G(J(s)) = O(1/s), it is Pol; on the upper arc
+        Im Pol(I_+(x)) = Im G~_-(x) = pi t psi(x).  Phi(1/2) = t and
+        G(J(s)) ~ t/(c1 s) are the two coefficient conditions.  The
+        argument takes J's mapping of gamma as given; density(), the
+        double-log integral, checks the identity in the tests.
+        """
+        if not self.a < x < self.b:
+            return mpf(0)
+        return im(_pol_at(self.pol, self.iplus(x))) / (pi * self.t)
+
+    def _real_roots(self, x):
+        """(s_in, s_out), the roots of J(s) = x inside and outside gamma,
+        for real x.
+
+        Inside (a, b) they are I_- and I_+ (iplus); at b or a the double
+        root +-s_b.  Right of b, J is convex on (1/2, oo), falls on
+        (1/2, s_b) and rises on (s_b, oo): safeguarded Newton takes s_in on
+        the first and s_out on the second, from their double-precision
+        values (_FloatRoots.real_roots), or next to b from the edge's
+        square-root model, kept right of the bound J(s) > c1 s + c0 -
+        log(s - 1/2) gives.  Left of a, J(-s) = 2 c0 - J(s) mirrors them.
+        """
+        if self.a < x < self.b:
+            s = self.iplus(x)
+            return conj(s), s
+        if x == self.b or x == self.a:
+            s = self.s_b if x == self.b else -self.s_b
+            return s, s
+        if x < self.a:
+            s_in, s_out = self._real_roots(2 * self.c0 - x)
+            return -s_in, -s_out
+        c1, c0, s_b = self.c1, self.c0, self.s_b
+        half = mpf('0.5')
+        far = max(s_b, (x - c0) / c1) + 1
+        if self._near_edge(x):
+            d = sqrt((x - self.b) / (s_b * c1 * c1))
+            seeds = max(half + exp(c1 / 2 + c0 - x), s_b - d), s_b + d
+        else:
+            u, s = self._float.real_roots(float(x))
+            seeds = half + exp(mpf(u)), mpf(s)
+        J = lambda s: _J(c1, c0, s)
+        dJ = lambda s: _J_prime(c1, s)
+        return (_bracketed(J, dJ, x, half, s_b, False, seeds[0], self.tol),
+                _bracketed(J, dJ, x, s_b, far, True, seeds[1], self.tol))
+
+    def _roots(self, z, sides=(-1, 1)):
+        """The roots of J(s) = z that sides names, -1 for s_in and 1 for
+        s_out, at z off [a, b] when complex; s_in needs the strip
+        |Im z| < pi.
+
+        For 0 < Im z < pi, J maps the part of gamma's outside above the
+        real axis onto the upper half plane and the part of its inside
+        below the axis onto the upper half strip, so s_out is the one root
+        with Im s > 0 and s_in the one with Im s < 0 (mirrored below the
+        axis).  That sign certifies a root whatever path found it.  Each
+        is seeded by tracking it in double precision up the vertical
+        segment from the real roots at Re z (_FloatRoots.track), or next
+        to an edge from J's square-root model there.
+        """
+        x, y = re(z), im(z)
+        if y < 0:
+            # J(conj s) = conj J(s), and gamma is symmetric about the axis
+            return tuple(conj(s) for s in self._roots(conj(z), sides))
+        if -1 in sides and y >= pi:
+            raise ValueError("s_in exists only in the strip |Im z| < pi")
+        if y == 0:
+            pair = self._real_roots(x)
+            return tuple(pair[side > 0] for side in sides)
+        c1, c0 = self.c1, self.c0
+        roots = []
+        for side in sides:
+            if self._near_edge(z):
+                s = self._edge_seed(z, side)
+            else:
+                fl = self._float
+                s = mpc(fl.track(float(x), float(y),
+                                 fl.pair(float(x))[side > 0], side))
+            s = newton(lambda w: (_J(c1, c0, w) - z) / _J_prime(c1, w), s,
+                       self.tol)
+            if not side * im(s) > 0:
+                raise NonConvergent("no root of J(s) = %s on its side of "
+                                    "the real axis" % mp.nstr(z, 8))
+            roots.append(s)
+        return tuple(roots)
+
+    def Phi_in(self, z):
+        """Phi(s_in) at z off [a, b], continued 2 pi i periodically in z as
+        g~ is: Im z is first reduced to (-pi, pi].  On the line Im z = pi,
+        s_in is the root on the cut [-1/2, 1/2] approached from below, where
+        J(s) = c1 s + c0 - log((1/2 - s)/(1/2 + s)) + i pi rises from -oo to
+        oo and log(s - 1/2) = log(1/2 - s) - i pi."""
+        y = +im(z)
+        y -= 2 * pi * ceil((y - pi) / (2 * pi))
+        if y != pi:
+            z = mpc(re(z), y)
+            return self.Phi(self._roots(z, (-1,))[0], z)
+        c1, c0, half = self.c1, self.c0, mpf('0.5')
+        s = _bracketed(lambda s: c1 * s + c0 - log((half - s) / (half + s)),
+                       lambda s: c1 + 1 / (half * half - s * s), re(z),
+                       -half, half, True, mpf(0), self.tol)
+        return (_horner(self.pi_c, s) - self.t * log(half - s)
+                + mpc(0, pi) * self.t)
+
+    def Phi(self, s, z=None):
+        """Pi(s) - t log(s - 1/2), principal log: the one function that the
+        gluing of psi makes of V(J) - t g(J) outside gamma and of t g~(J)
+        inside.
+
+        Given z, s is the root s_in of J(s) = z.  Right of the imaginary
+        axis arg(s - 1/2) - arg(s + 1/2) stays in (-pi, pi), so there
+        log(s - 1/2) = log(s + 1/2) + c1 s + c0 - z.  That keeps the digits
+        that s_in - 1/2 ~ e^(c1/2 + c0 - Re z), next to 1/2 far right of b,
+        has lost.
+        """
+        half = mpf('0.5')
+        if z is not None and re(s) > 0:
+            log_gap = log(mpc(s) + half) + self.c1 * s + self.c0 - z
+        else:
+            log_gap = log(mpc(s) - half)
+        return _horner(self.pi_c, s) - self.t * log_gap
+
+    def F(self, z):
+        """F(z) = [Phi(s_in) + Phi(s_out) - V(z)]/2 + t (C~ - C)/2 on the
+        strip |Im z| < pi, real on the real axis.
+
+        F = t (g~ - g)/2, and g = (V - Phi(s_out))/t + C, g~ =
+        Phi(s_in)/t + C~ (g_functions).  On each half strip both sides are
+        continuous with principal logs and meet on (b, oo), so they agree.
+        On the real axis the imaginary parts cancel (s_in and s_out are
+        real, or a conjugate pair) and only real parts are kept.
+        """
+        s_in, s_out = self._roots(z)
+        val = ((self.Phi(s_in, z) + self.Phi(s_out) - self.V.V(z)) / 2
+               + self.t * (self.C_tilde - self.C) / 2)
+        return val if im(z) != 0 else re(val)
+
+    def F_prime(self, z):
+        """F'(z) = [Pol(s_in) + Pol(s_out) - V'(z)]/2, since d Phi/ds =
+        J' Pol; on (a, b) it is Re Pol(I_+(x)) - V'(x)/2."""
+        s_in, s_out = self._roots(z)
+        val = (_pol_at(self.pol, s_in) + _pol_at(self.pol, s_out)
+               - self.V.Vp(z)) / 2
+        return val if im(z) != 0 else re(val)
+
+
 def _clenshaw(coeffs, c2):
     """b_1, b_2 of the recurrence b_k = coeffs[k] + c2 b_(k+1) - b_(k+2).
 
@@ -301,7 +700,7 @@ def _clenshaw(coeffs, c2):
     return b1, b2
 
 
-# The engine sizes its node count N from the decay of its own series
+# The series sizes its node count N from the decay of its own coefficients
 # (Chebyshev chopping, Aurentz & Trefethen, ACM TOMS 43 (2017) 33).  Each
 # level solves sigma at N nodes, seeded from the previous level's series,
 # and grows N until every Fourier coefficient of sigma at index >= 4N/5 is
@@ -314,7 +713,7 @@ _CHOP_GUARD = 5
 
 
 def _max_nodes(digits):
-    # the fixed node count of the unsized engine; no build exceeds it
+    # the fixed node count of the unsized series; no build exceeds it
     return max(96, 4 * digits)
 
 
@@ -345,65 +744,39 @@ def _chop(coeffs, tol):
     return tail, max(N + 4, int(1.25 * reach) + 2)
 
 
-class _SigmaSeries:
+class _FourierSeries:
     """Fourier representation of the upper inverse branch on the support.
 
     sigma(theta) = I_+(mid + rad*cos(theta)) is analytic and periodic on the
-    torus, so everything downstream (density, moments, log-potentials, the
-    Lagrange constant) becomes a rapidly convergent trigonometric series.
-    The engine is its solved series: sigma's Fourier coefficients Ak, Bk
-    on N nodes, the density psi_v at those nodes and its Chebyshev
-    coefficients hc.  Every other array derives from these (_measure).
+    torus, so the integrals over the measure (the mass, the moments gam,
+    mu_int, ell_at) become rapidly convergent trigonometric series.  The
+    series is sigma's Fourier coefficients Ak, Bk on N nodes, the density
+    psi_v at those nodes (the engine's closed form) and its Chebyshev
+    coefficients hc; every other array derives from these (_measure).
 
-    Cold (series None), sigma is solved at N nodes sized by _chop from
-    _PILOT_NODES up, and the density follows from it in closed form
-    (_density); the certified tail of sigma's coefficients is tail.
-    Raises NonConvergent when the series needs more than _max_nodes(digits)
-    nodes.  Restored (series the dict of Ak, Bk, hc and psi_v that
-    load_equilibrium returns), no inversion runs and psi_v is not
-    recomputed: the stored series must pass the same chop tests, which
-    also recompute tail, and a spot check at one node (_restore), or
-    NonConvergent is raised.
-
-    invert solves J(s) = x to the engine's own tolerance
-    10^-(digits + 4), fixed here, whatever precision its caller runs at:
-    c1 and c0 carry digits + 10 digits, so a tighter tolerance buys
-    nothing, and next to an edge, where J' vanishes, it is never met.
-
-    F, F' and the g-functions need no series: they are closed forms in
-    the two roots s_in, s_out of J(s) = z inside and outside gamma
-    (_roots), through Phi = Pi - t log(s - 1/2), Pol and the constants C,
-    C~, all fixed when the engine is built (see F).  The series serves
-    the density, the moments and ell.
+    sigma is solved at N nodes sized by _chop from _PILOT_NODES up; the
+    certified tail of its coefficients is tail.  Raises NonConvergent
+    when the series needs more than _max_nodes(digits) nodes.
     """
 
-    def __init__(self, V, t, c1, c0, P, Q, digits, series=None):
-        self.V = V
-        self.t = t
-        self.c1, self.c0 = c1, c0
-        s_b = _s_b(c1)
-        self.s_b = s_b
-        self.a = _J(c1, c0, -s_b)
-        self.b = _J(c1, c0, s_b)
-        self.mid = (self.a + self.b) / 2
-        self.rad = (self.b - self.a) / 2
-        A_ = mpf('0.5') - s_b
-        B_ = mpf('0.5') + s_b
-        self.alpha = (A_ * P + B_ * Q) / (pi * sqrt(s_b))
-        self.beta = (B_ * P + A_ * Q) / (pi * sqrt(s_b))
-        self.tol = mpf(10) ** -(digits + 4)
-        # Pol, the nonnegative part of V'(J), and Pi, the positive part of
-        # V(J) (so Pi(0) = 0), with the constants C and C~ of g and g~
-        self.pol = _V_of_J(V, c1, c0, 1)
-        vj = _V_of_J(V, c1, c0, 0)
-        self.pi_c = [mpf(0)] + [vj[e] for e in range(1, V.degree + 1)]
-        self.C = log(c1) - vj[0] / t
-        self.C_tilde = c1 / 2 + c0 - _horner(self.pi_c, mpf('0.5')) / t
-        if series is None:
-            cn, sn = self._solve(digits)
-        else:
-            cn, sn = self._restore(digits, **series)
-        self._measure(cn, sn)
+    def __init__(self, eng, digits):
+        self.eng = eng
+        cap = _max_nodes(digits)
+        N = min(_PILOT_NODES, cap)
+        self.Ak = self.Bk = None
+        while True:
+            ct, st, sig = self._fourier(N)
+            grow = self._sigma_grow(digits)
+            if grow is None:
+                self._density(sig, ct, st)
+                grow = _chop(self.hc, mpf(10) ** -digits)[1]
+                if grow is None:
+                    break
+            if N >= cap:
+                raise NonConvergent("Fourier engine needs more than %d "
+                                    "nodes" % cap)
+            N = min(grow, cap)
+        self._measure(ct[1:2 * N:2], st[1:2 * N:2])
 
     def _sigma_grow(self, digits):
         """The node count _chop asks of sigma's series, None once it has
@@ -413,63 +786,10 @@ class _SigmaSeries:
             mpf(10) ** -(digits + _CHOP_GUARD))
         return grow
 
-    def _density_grow(self, digits):
-        """The node count _chop asks of the density's series, or None."""
-        return _chop(self.hc, mpf(10) ** -digits)[1]
-
-    def _solve(self, digits):
-        """The cold route; returns cos and sin at the N nodes."""
-        cap = _max_nodes(digits)
-        N = min(_PILOT_NODES, cap)
-        self.Ak = self.Bk = None
-        while True:
-            ct, st, sig = self._fourier(N)
-            grow = self._sigma_grow(digits)
-            if grow is None:
-                self._density(sig, ct, st)
-                grow = self._density_grow(digits)
-                if grow is None:
-                    return ct[1:2 * N:2], st[1:2 * N:2]
-            if N >= cap:
-                raise NonConvergent("Fourier engine needs more than %d "
-                                    "nodes" % cap)
-            N = min(grow, cap)
-
-    def _restore(self, digits, Ak, Bk, hc, psi_v):
-        """The loaded route; returns cos and sin at the N nodes.
-
-        Beyond the chop tests, at one node x0 the restored sigma must
-        solve J(s) = x0 to 10^-digits (1 + |x0|), and the density's
-        Chebyshev series must give psi_v there to 10^-digits of the
-        largest psi_v.  A cold engine's series meets both at the working
-        precision's rounding level, about 10^-(digits + 10).  The node's
-        angle (2i+1) pi/(2N), with 2i+1 prime to N, is no multiple of
-        pi/(2N) times an index below N, so no term of either series
-        vanishes there; i starts at N/3, away from the edge at b, where
-        J' vanishes.
-        """
-        self.N = N = len(Ak)
-        self.Ak, self.Bk, self.hc, self.psi_v = Ak, Bk, hc, psi_v
-        if self._sigma_grow(digits) is not None or \
-                self._density_grow(digits) is not None:
-            raise NonConvergent("cached Fourier series fails its chop test")
-        cn = [cos((2 * i + 1) * pi / (2 * N)) for i in range(N)]
-        sn = [sin((2 * i + 1) * pi / (2 * N)) for i in range(N)]
-        i = next(i for i in range(N // 3, N) if gcd(2 * i + 1, N) == 1)
-        th0 = (2 * i + 1) * pi / (2 * N)
-        x0 = self.mid + self.rad * cn[i]
-        J_err = abs(map_J(self.c1, self.c0, self.sigma(th0)) - x0)
-        psi_err = abs(self._clenshaw_h(th0) * self.rad * sn[i] - psi_v[i])
-        bound = mpf(10) ** -digits
-        if J_err > bound * (1 + abs(x0)) or \
-                psi_err > bound * max(abs(v) for v in psi_v):
-            raise NonConvergent("cached Fourier series fails the spot "
-                                "check at x = %s" % mp.nstr(x0, 8))
-        return cn, sn
-
     def _fourier(self, N):
         """sigma at N nodes and its coefficients Ak, Bk; returns the
         cos and sin tables of the lattice and sigma at the nodes."""
+        eng = self.eng
         self.N = N
         # the nodes are th[i] = (2i+1) pi/(2N) and phi[j] = (2(j-N)+1) pi/(2N),
         # so every angle in the sums below is a multiple of pi/(2N): k*th[i]
@@ -479,17 +799,15 @@ class _SigmaSeries:
         ct = [cos(j * pi / (2 * N)) for j in range(M4)]
         st = [sin(j * pi / (2 * N)) for j in range(M4)]
         sig = []
-        s = None
         for i in range(N):
-            x = self.mid + self.rad * ct[2 * i + 1]
-            if self.Ak is not None:
+            x = eng.mid + eng.rad * ct[2 * i + 1]
+            if self.Ak is None:
+                s = eng.iplus(x)
+            else:
                 # the previous level's series is close to the root
-                s = self.sigma((2 * i + 1) * pi / (2 * N))
-            elif s is None:
-                s = self._edge_seed(x)
-            s = self.invert(x, s)
-            if im(s) < 0:
-                s = conj(s)
+                s = eng.invert(x, self.sigma((2 * i + 1) * pi / (2 * N)))
+                if im(s) < 0:
+                    s = conj(s)
             sig.append(s)
         sig_re = [re(v) for v in sig]
         sig_im = [im(v) for v in sig]
@@ -504,31 +822,13 @@ class _SigmaSeries:
         return ct, st, sig
 
     def _density(self, sig, ct, st):
-        """psi at the nodes, Im Pol(sigma) / (pi t), then its Chebyshev
-        coefficients hc; Pol is V'(J(s))'s nonnegative part (_pol_at).
-
-        The gluing of Claeys & Romano (Nonlinearity 27 (2014) 2419-2444):
-        G(z) = int dnu(y)/(z - y) and G~(z) = int e^z dnu(y)/(e^z - e^y),
-        nu = t psi dx, both jump by -2 pi i psi_nu across (a, b), where the
-        derivative of the variational condition reads
-        G_+ + G_- + G~_+ + G~_- = 2 V'; so G_+ + G~_- = V' there.  J maps
-        the outside of the curve gamma through +-s_b onto C minus [a, b],
-        and its inside, cut along [-1/2, 1/2], onto the strip |Im z| < pi
-        minus [a, b]; crossing gamma's upper arc inwards crosses (a, b)
-        downwards.  So V'(J) - G(J) outside gamma and G~(J) inside glue
-        into one function Phi.  G~ is 2 pi i periodic, so Phi does not see
-        J's jump across the cut, and it tends to t and 0 at s = 1/2 and
-        -1/2, where Re J runs to +-infinity.  Phi is entire and, as
-        G(J(s)) = O(1/s), it is Pol; on the upper arc
-        Im Pol(I_+(x)) = Im G~_-(x) = pi t psi(x).  Phi(1/2) = t and
-        G(J(s)) ~ t/(c1 s) are the two coefficient conditions.  The
-        argument takes J's mapping of gamma as given; density(), the
-        double-log integral, checks the identity in the tests.
-        """
+        """psi at the nodes, Im Pol(sigma) / (pi t) (_SigmaSeries.psi),
+        then its Chebyshev coefficients hc."""
+        eng = self.eng
         N, M4 = self.N, 4 * self.N
-        self.psi_v = [im(_pol_at(self.pol, s)) / (pi * self.t) for s in sig]
+        self.psi_v = [im(_pol_at(eng.pol, s)) / (pi * eng.t) for s in sig]
         # Chebyshev coefficients of psi/(rad sin)
-        hval = [self.psi_v[i] / (self.rad * st[2 * i + 1])
+        hval = [self.psi_v[i] / (eng.rad * st[2 * i + 1])
                 for i in range(N)]
         self.hc = []
         for k in range(N):
@@ -537,26 +837,23 @@ class _SigmaSeries:
 
     def _measure(self, cn, sn):
         """From hc and psi_v, with cn, sn the cos and sin at the nodes: the
-        moments gam, the mass, the quadrature weights Gw at the nodes gx,
-        and the Lagrange constant ell."""
-        N = self.N
-        r2 = self.rad * self.rad
+        moments gam, the mass and the quadrature weights Gw at the nodes
+        gx."""
+        N, mid, rad = self.N, self.eng.mid, self.eng.rad
         g = [mpf(0)] * (N + 2)
         for k in range(N):
             g[k] += self.hc[k] / 2
             g[k + 2] -= self.hc[k] / 4
             g[abs(k - 2)] -= self.hc[k] / 4
-        self.gam = [r2 * v for v in g]
+        self.gam = [rad * rad * v for v in g]
         self.mass = self.gam[0] * pi
-        self.Gw = [self.psi_v[i] * self.rad * sn[i] for i in range(N)]
-        self.gx = [self.mid + self.rad * cn[i] for i in range(N)]
-        self.ell = self.ell_at(self.mid)
+        self.Gw = [self.psi_v[i] * rad * sn[i] for i in range(N)]
+        self.gx = [mid + rad * cn[i] for i in range(N)]
 
-    def invert(self, x, s0):
-        """The root of J(s) = x that Newton's iteration reaches from s0."""
-        c1, c0 = self.c1, self.c0
-        return newton(lambda s: (map_J(c1, c0, s) - x) / _J_prime(c1, s),
-                      s0, self.tol)
+    def theta_of(self, x):
+        c = (x - self.eng.mid) / self.eng.rad
+        c = max(mpf(-1), min(mpf(1), c))
+        return acos(c)
 
     def sigma(self, th):
         # the cosine and the sine series by Clenshaw: two trigonometric
@@ -566,40 +863,17 @@ class _SigmaSeries:
         b1, _ = _clenshaw(self.Bk, 2 * c)
         return mpc(self.Ak[0] + c * a1 - a2, b1 * sin(th))
 
-    def theta_of(self, x):
-        c = (x - self.mid) / self.rad
-        c = max(mpf(-1), min(mpf(1), c))
-        return acos(c)
-
-    def _edge_seed(self, x):
-        # I_+ at the nearer edge, from J(+-s_b + d) = b or a +- s_b c1^2 d^2
-        gap = min(x - self.a, self.b - x)
-        edge = self.s_b if gap == self.b - x else -self.s_b
-        return edge + mpc(0, 1) * sqrt(gap / (self.s_b * self.c1 * self.c1))
-
-    def iplus(self, x):
-        # next to an edge the series seed comes out real (theta_of clamps
-        # at the precision of mid and rad), and Newton from it stays real
-        near = min(x - self.a, self.b - x) < self.rad * sqrt(self.tol)
-        s = self.invert(x, self._edge_seed(x) if near else
-                        self.sigma(self.theta_of(x)))
-        if im(s) < 0:
-            s = conj(s)
-        return s
-
-    def _clenshaw_h(self, th):
+    def psi(self, x):
+        """The density by the Chebyshev series hc."""
+        th = self.theta_of(x)
         c = cos(th)
         b1, b2 = _clenshaw(self.hc, 2 * c)
-        return self.hc[0] + c * b1 - b2
-
-    def psi(self, x):
-        th = self.theta_of(x)
-        return self._clenshaw_h(th) * self.rad * sin(th)
+        return (self.hc[0] + c * b1 - b2) * self.eng.rad * sin(th)
 
     def log_abs_moment(self, y):
         # int log|y - x| dmu for y inside the support, by the series
         phv = self.theta_of(y)
-        s = log(self.rad / 2) * self.gam[0] * pi
+        s = log(self.eng.rad / 2) * self.gam[0] * pi
         for k in range(1, len(self.gam)):
             s -= (self.gam[k] / k) * cos(k * phv) * pi
         return s
@@ -611,147 +885,10 @@ class _SigmaSeries:
         return tot * pi / self.N
 
     def ell_at(self, y):
+        eng = self.eng
         f1 = self.log_abs_moment(y)
         f2 = self.mu_int(lambda x: x + log(_phi_ratio(y - x)))
-        return 2 * f1 + f2 - self.V.V(y) / self.t
-
-    def _real_roots(self, x):
-        """(s_in, s_out), the roots of J(s) = x inside and outside gamma,
-        for real x.
-
-        Inside (a, b) they are I_- and I_+ (iplus); at b or a the double
-        root +-s_b.  Right of b, J is convex on (1/2, oo), falls on
-        (1/2, s_b) and rises on (s_b, oo): safeguarded Newton takes s_in on
-        the first and s_out on the second, each seeded by the better of
-        the edge's square-root model and a bound J(s) > c1 s + c0 -
-        log(s - 1/2) gives.  Left of a, J(-s) = 2 c0 - J(s) mirrors them.
-        """
-        if self.a < x < self.b:
-            s = self.iplus(x)
-            return conj(s), s
-        if x == self.b or x == self.a:
-            s = self.s_b if x == self.b else -self.s_b
-            return s, s
-        if x < self.a:
-            s_in, s_out = self._real_roots(2 * self.c0 - x)
-            return -s_in, -s_out
-        c1, c0, s_b = self.c1, self.c0, self.s_b
-        half = mpf('0.5')
-        d = sqrt((x - self.b) / (s_b * c1 * c1))
-        # J(s) >= x left of the first bound and right of the second
-        near_half = half + exp(c1 / 2 + c0 - x)
-        far = max(s_b, (x - c0) / c1) + 1
-        J = lambda s: _J(c1, c0, s)
-        dJ = lambda s: _J_prime(c1, s)
-        return (_bracketed(J, dJ, x, half, s_b, False,
-                           max(near_half, s_b - d), self.tol),
-                _bracketed(J, dJ, x, s_b, far, True, min(far, s_b + d),
-                           self.tol))
-
-    def _roots(self, z, sides=(-1, 1)):
-        """The roots of J(s) = z that sides names, -1 for s_in and 1 for
-        s_out, at z off [a, b] when complex; s_in needs the strip
-        |Im z| < pi.
-
-        For 0 < Im z < pi, J maps the part of gamma's outside above the
-        real axis onto the upper half plane and the part of its inside
-        below the axis onto the upper half strip, so s_out is the one root
-        with Im s > 0 and s_in the one with Im s < 0 (mirrored below the
-        axis).  That sign certifies a root whatever path found it.  Each
-        is tracked up the vertical segment from the real roots at Re z
-        (_real_roots, _track).
-        """
-        x, y = re(z), im(z)
-        if y < 0:
-            # J(conj s) = conj J(s), and gamma is symmetric about the axis
-            return tuple(conj(s) for s in self._roots(conj(z), sides))
-        if -1 in sides and y >= pi:
-            raise ValueError("s_in exists only in the strip |Im z| < pi")
-        pair = self._real_roots(x)
-        return tuple(pair[side > 0] if y == 0 else
-                     self._track(x, y, pair[side > 0], side)
-                     for side in sides)
-
-    def Phi_in(self, z):
-        """Phi(s_in) at z off [a, b], continued 2 pi i periodically in z as
-        g~ is: Im z is first reduced to (-pi, pi].  On the line Im z = pi,
-        s_in is the root on the cut [-1/2, 1/2] approached from below, where
-        J(s) = c1 s + c0 - log((1/2 - s)/(1/2 + s)) + i pi rises from -oo to
-        oo and log(s - 1/2) = log(1/2 - s) - i pi."""
-        y = +im(z)
-        y -= 2 * pi * ceil((y - pi) / (2 * pi))
-        if y != pi:
-            return self.Phi(self._roots(mpc(re(z), y), (-1,))[0])
-        c1, c0, half = self.c1, self.c0, mpf('0.5')
-        s = _bracketed(lambda s: c1 * s + c0 - log((half - s) / (half + s)),
-                       lambda s: c1 + 1 / (half * half - s * s), re(z),
-                       -half, half, True, mpf(0), self.tol)
-        return (_horner(self.pi_c, s) - self.t * log(half - s)
-                + mpc(0, pi) * self.t)
-
-    def _track(self, x, y, s, side):
-        """The root of J = x + iy, y > 0, with sign(Im s) = side, from the
-        root s of J = x (see _roots).  Each step seeds Newton from J's
-        quadratic model at the last root, taking the model's root on the
-        right side of the axis; a step whose root fails the sign test is
-        halved.  Raises NonConvergent after 4 newton_max_iter steps and
-        halvings."""
-        c1, c0 = self.c1, self.c0
-        done, h = mpf(0), y
-        for _ in range(4 * PrecisionContext.newton_max_iter):
-            last = h >= y - done
-            target = mpc(x, y if last else done + h)
-            # J(s + e) = J(s) + J'e + J''e^2/2 through the last target
-            j1 = _J_prime(c1, s)
-            j2 = 2 * s / (s * s - mpf('0.25')) ** 2
-            root = sqrt(j1 * j1 + 2 * j2 * (target - mpc(x, done)))
-            q = -(j1 + root if abs(j1 + root) >= abs(j1 - root)
-                  else j1 - root) / 2
-            seeds = [s + e for e in (2 * q / j2, (mpc(x, done) - target) / q)
-                     if side * im(s + e) > 0]
-            try:
-                new = newton(lambda w: (_J(c1, c0, w) - target)
-                             / _J_prime(c1, w),
-                             min(seeds, key=lambda w: abs(w - s)), self.tol)
-            except (ValueError, ZeroDivisionError, NonConvergent):
-                new = None
-            if new is None or not side * im(new) > 0:
-                h = (y - done if last else h) / 2
-                continue
-            if last:
-                return new
-            s, done = new, done + h
-        raise NonConvergent("no root of J(s) = %s on its side of the real "
-                            "axis" % mp.nstr(mpc(x, y), 8))
-
-    def Phi(self, s):
-        """Pi(s) - t log(s - 1/2), principal log: the one function that the
-        gluing of _density makes of V(J) - t g(J) outside gamma and of
-        t g~(J) inside."""
-        return _horner(self.pi_c, s) - self.t * log(mpc(s) - mpf('0.5'))
-
-    def F(self, z):
-        """F(z) = [Phi(s_in) + Phi(s_out) - V(z)]/2 + t (C~ - C)/2 on the
-        strip |Im z| < pi, real on the real axis.
-
-        F = t (g~ - g)/2, and g = (V - Phi(s_out))/t + C, g~ =
-        Phi(s_in)/t + C~ (g_functions).  On each half strip both sides are
-        continuous with principal logs and meet on (b, oo), so they agree.
-        On the real axis the imaginary parts cancel (s_in and s_out are
-        real, or a conjugate pair) and only real parts are kept.
-        """
-        s_in, s_out = self._roots(z)
-        val = ((self.Phi(s_in) + self.Phi(s_out) - self.V.V(z)) / 2
-               + self.t * (self.C_tilde - self.C) / 2)
-        return val if im(z) != 0 else re(val)
-
-    def F_prime(self, z):
-        """F'(z) = [Pol(s_in) + Pol(s_out) - V'(z)]/2, since d Phi/ds =
-        J' Pol; on (a, b) it is Re Pol(I_+(x)) - V'(x)/2."""
-        s_in, s_out = self._roots(z)
-        val = (_pol_at(self.pol, s_in) + _pol_at(self.pol, s_out)
-               - self.V.Vp(z)) / 2
-        return val if im(z) != 0 else re(val)
+        return 2 * f1 + f2 - eng.V.V(y) / eng.t
 
 
 def _bracketed(J, dJ, x, lo, hi, rising, s, tol):
@@ -785,16 +922,12 @@ def _phi_ratio(w):
 def build_equilibrium(V, t, ctx, cache_dir=None):
     """Solve the full equilibrium problem, returning EquilibriumData.
 
-    The attached series engine powers the density table and the Lagrange
-    constant, and carries the closed forms of F, F' and the g-functions
-    in the roots of J(s) = z.  It sizes its Fourier node count from the
-    decay of its own coefficients (see _SigmaSeries), never above the
-    max(96, 4*digits) nodes of the unsized engine.  The cache entry holds
-    the solve (c1, c0) and the engine's solved series: a hit skips the
-    coefficient solve and every heavy sum of the engine, restoring the
-    series after a spot check, and rebuilds only the cheap rest (the
-    contour integrals P and Q, the moments, ell and the argmins), to the
-    same bits as a cold build.
+    Beyond the coefficient solve (c1, c0), everything is a closed form
+    (see _SigmaSeries): the engine builds its Fourier series only when an
+    integral over the measure is asked for.  The cache entry holds
+    (c1, c0): a hit skips the solve after checking that the entry still
+    meets both coefficient conditions to newton_tol, or raises
+    NonConvergent, and gives the same bits as a cold build.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
@@ -802,10 +935,14 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
         raise ValueError("t must be positive")
     cached = (load_equilibrium(V, t, ctx, cache_dir)
               if cache_dir is not None else None)
-    c1, c0, series = cached or solve_coefficients(V, t, ctx) + (None,)
+    c1, c0 = cached or solve_coefficients(V, t, ctx)
     with mp.workdps(ctx.digits + 10):
-        _, _, P, Q = _contour_integrals(V, c1, c0)
-        eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits, series)
+        U, W, P, Q = _contour_integrals(V, c1, c0)
+        tol = mpf(ctx.newton_tol)
+        if cached and not (abs(c1 * U - t) <= tol and abs(W - t) <= tol):
+            raise NonConvergent("cached coefficients fail the coefficient "
+                                "conditions")
+        eng = _SigmaSeries(V, t, c1, c0, P, Q, ctx.digits)
         eq = EquilibriumData(
             t=t, c0=c0, c1=c1, s_b=eng.s_b,
             a=eng.a, b=eng.b, alpha=eng.alpha, beta=eng.beta,
@@ -832,14 +969,14 @@ class DensityTable:
 
 
 def build_density_table(eq, ctx):
-    """Density on a 512-node Chebyshev grid of the support, plus its own
-    mass check."""
+    """Density on a 512-node Chebyshev grid of the support, by the
+    engine's Fourier series, plus its own mass check."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         N = 512
         th = [(i + mpf('0.5')) * pi / N for i in range(N)]
         nodes = [eng.mid + eng.rad * cos(t_) for t_ in th]
-        values = [eng.psi(x) for x in nodes]
+        values = [eng.series.psi(x) for x in nodes]
         mass = sum(v * eng.rad * sin(t_)
                    for v, t_ in zip(values, th)) * pi / N
         floor = -10 * mpf(ctx.quad_rel_tol)
@@ -854,8 +991,8 @@ def build_density_table(eq, ctx):
 def inverse_map(eq, x, branch, ctx):
     """Inverse of J on the support; branch 'upper' lands on gamma_1.
 
-    The engine's inversion from its series seed, to the engine's own
-    tolerance (see _SigmaSeries).  Raises BranchEscape when the root
+    The engine's inversion from its double-precision seed, to the engine's
+    own tolerance (see _SigmaSeries).  Raises BranchEscape when the root
     lands on or below the real axis away from the edges.
     """
     if branch not in ("upper", "lower"):
@@ -864,7 +1001,7 @@ def inverse_map(eq, x, branch, ctx):
         raise ValueError("x outside the open support interval")
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
-        s = eng.invert(x, eng.sigma(eng.theta_of(x)))
+        s = eng.invert(x, eng.iplus_seed(x))
         edge_gap = min(abs(x - eq.a), abs(x - eq.b))
         if im(s) <= 0 and edge_gap > mpf(10) ** (-ctx.digits // 2):
             raise BranchEscape("inverse-map iterate crossed the real axis "
@@ -878,9 +1015,8 @@ def density(eq, x, ctx):
     """Density at one interior point by the defining double-log integral.
 
     This is the direct quadrature route (split at u = x, tanh-sinh on each
-    half against the log singularity); the series engine behind
-    build_density_table is the fast path, and the two are cross-checked in
-    the test suite.
+    half against the log singularity); the engine's closed form psi is the
+    fast path, and the two are cross-checked in the test suite.
     """
     if not (eq.a < x < eq.b):
         raise ValueError("x outside the open support interval")
@@ -972,13 +1108,13 @@ def F_function(eq, z, ctx):
 
 
 def lagrange_constant(eq, ctx):
-    """The variational constant, evaluated at the midpoint and verified
-    to be flat across the support."""
+    """The variational constant by the engine's Fourier series, evaluated
+    at the midpoint and verified to be flat across the support."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         y0 = (eq.a + eq.b) / 2
         probes = [y0, y0 - mpf('0.37') * eng.rad, y0 + mpf('0.41') * eng.rad]
-        vals = [eng.ell_at(y) for y in probes]
+        vals = [eng.series.ell_at(y) for y in probes]
         spread = max(vals) - min(vals)
         if spread > mpf(10) ** (-ctx.digits // 4):
             raise VariationalViolation(
@@ -992,8 +1128,9 @@ def effective_potential(eq, x, ctx):
     as ell = Re(C + C~) (see g_functions)."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
-        s_in, s_out = eng._roots(mpf(x))
-        return +(re(eng.Phi(s_in) - eng.Phi(s_out)) / eq.t)
+        x = mpf(x)
+        s_in, s_out = eng._roots(x)
+        return +(re(eng.Phi(s_in, x) - eng.Phi(s_out)) / eq.t)
 
 
 def reflect_potential(V, n):
@@ -1008,10 +1145,8 @@ def reflect_potential(V, n):
 
 # --- JSON cache ---------------------------------------------------------
 
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 _CACHED = ("c1", "c0")
-# the engine's solved series (see _SigmaSeries), each a list of N values
-_SERIES = ("Ak", "Bk", "hc", "psi_v")
 
 
 def _cache_path(cache_dir, V, t, digits):
@@ -1021,30 +1156,25 @@ def _cache_path(cache_dir, V, t, digits):
 
 
 def save_equilibrium(eq, V, cache_dir):
-    """Write eq as the entry {version, digits, t, c1, c0, N, Ak, Bk, hc,
-    psi_v}, in one atomic step (mpnum.save_json).
+    """Write eq as the entry {version, digits, t, c1, c0}, in one atomic
+    step (mpnum.save_json).
 
     The numbers are decimal strings with 15 guard digits (num_to_str), so
     they read back to the same bits at digits + 10.
     """
     os.makedirs(cache_dir, exist_ok=True)
     digits = eq.digits
-    eng = _require_engine(eq)
     doc = {k: num_to_str(getattr(eq, k), digits) for k in ("t",) + _CACHED}
-    doc.update((k, [num_to_str(v, digits) for v in getattr(eng, k)])
-               for k in _SERIES)
-    doc.update(version=_CACHE_VERSION, digits=digits, N=eng.N)
+    doc.update(version=_CACHE_VERSION, digits=digits)
     return save_json(_cache_path(cache_dir, V, eq.t, digits), doc)
 
 
 def load_equilibrium(V, t, ctx, cache_dir):
-    """The cached (c1, c0, series) for V, t and ctx.digits, or None.
+    """The cached (c1, c0) for V, t and ctx.digits, or None.
 
-    series maps each of Ak, Bk, hc and psi_v to its list of N values, for
-    _SigmaSeries to restore.  A malformed entry, or one of the wrong shape
-    (a missing key, a wrong type, a non-numeric string, a list whose
-    length is not N), raises an OSError naming its path
-    (mpnum.load_json); the engine spot-checks the numbers themselves.
+    A malformed entry, or one of the wrong shape (a missing key, a wrong
+    type, a non-numeric string), raises an OSError naming its path
+    (mpnum.load_json); build_equilibrium checks the numbers themselves.
     """
     with mp.workdps(ctx.digits + 10):
         t = mpf(t)
@@ -1053,16 +1183,7 @@ def load_equilibrium(V, t, ctx, cache_dir):
         return None
 
     def parse(doc):
-        N = json_int(doc["N"])
         with mp.workdps(ctx.digits + 10):
-            c1, c0 = (str_to_num(doc[k]) for k in _CACHED)
-            series = {k: [str_to_num(v) for v in doc[k]] for k in _SERIES}
-        # every engine's N lies in this range; _chop needs N >= 5
-        if not _PILOT_NODES <= N <= _max_nodes(ctx.digits):
-            raise ValueError("N = %d is outside [%d, %d]" % (
-                N, _PILOT_NODES, _max_nodes(ctx.digits)))
-        if any(len(v) != N for v in series.values()):
-            raise ValueError("series lengths disagree with N = %d" % N)
-        return c1, c0, series
+            return tuple(str_to_num(doc[k]) for k in _CACHED)
 
     return load_json(path, parse)

@@ -97,7 +97,7 @@ def test_criterion_02_variational_structure(eq64, table64):
         eng = eq64._engine
         probes = [eq64.a + f * (eq64.b - eq64.a)
                   for f in (mpf("0.25"), mpf("0.5"), mpf("0.75"))]
-        vals = [eng.ell_at(y) for y in probes]
+        vals = [eng.series.ell_at(y) for y in probes]
         spread = max(vals) - min(vals)
         slack_out = max(effective_potential(eq64, eq64.b + mpf("0.5"), ctx),
                         effective_potential(eq64, eq64.a - mpf("0.5"), ctx))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import conj, exp, expm1, im, log, mp, mpc, mpf, pi, sqrt
 
+from biorthlab.biortho import construct
+
 from biorthlab.equilibrium import (
     BranchEscape,
     OnBranchCut,
@@ -30,6 +32,7 @@ from biorthlab.equilibrium import (
     solve_coefficients,
 )
 from biorthlab import equilibrium
+from biorthlab.kernel import KernelRequest, evaluate_request
 from biorthlab.mpnum import NonConvergent, PrecisionContext
 
 from conftest import QUAD, QUARTIC
@@ -346,16 +349,22 @@ def _node_sum_F(eng, z):
     """F = (t/2) int [x + log((e^(z-x) - 1)/(z - x))] dmu as the engine's
     N-node sum: the integrand is analytic within 2 pi of the support, so
     the sum is spectrally accurate at every z of the strip."""
-    return eng.t / 2 * eng.mu_int(
+    return eng.t / 2 * eng.series.mu_int(
         lambda x: x + log(equilibrium._phi_ratio(z - x)))
 
 
 def _node_sum_F_prime(eng, z):
-    # the sum's derivative: d/dw log((e^w - 1)/w) = 1/(1 - e^-w) - 1/w;
-    # nodes stay apart from every test point, so the cancellation costs
-    # digits that the extra precision of the caller covers
-    return eng.t / 2 * eng.mu_int(
-        lambda x: -1 / expm1(x - z) - 1 / (z - x))
+    # the sum's derivative: d/dw log((e^w - 1)/w) = 1/(1 - e^-w) - 1/w.
+    # Its cancellation costs log10(1/|w|) digits, which the extra
+    # precision of the caller covers down to |w| = 10^-20; below, where a
+    # node meets the test point (an odd N puts one at the midpoint), the
+    # series 1/2 + w/12 - w^3/720 takes over
+    def dlog(w):
+        if abs(w) < mpf(10) ** -20:
+            return mpf(1) / 2 + w / 12
+        return -1 / expm1(-w) - 1 / w
+
+    return eng.t / 2 * eng.series.mu_int(lambda x: dlog(z - x))
 
 
 @pytest.mark.parametrize("t", ["1/2", "1", "2"])
@@ -429,6 +438,102 @@ def test_f_function_strip(eq_unit, ctx96):
         F_function(eq_unit, mpc(0, "3.2"), ctx96)
 
 
+# --- closed forms without the Fourier series ----------------------------------
+
+def test_cold_build_and_kernel_never_build_the_series(quartic, monkeypatch):
+    # a cold build and the kernel's bulk, edge and raw requests need
+    # nothing but the closed forms
+    def refuse(eng, digits):
+        raise AssertionError("the Fourier series was built")
+
+    monkeypatch.setattr(equilibrium, "_FourierSeries", refuse)
+    ctx = PrecisionContext.for_digits(36)
+    eq = build_equilibrium(quartic, 1, ctx)
+    sys3 = construct(quartic, 3, 4, ctx)
+    for regime, x_star in (("bulk", (eq.a + eq.b) / 2), ("edge_right", None),
+                           ("raw", None)):
+        req = KernelRequest(n=3, regime=regime, grid=(("0", "0"), ("0.5", "1")),
+                            x_star=x_star)
+        assert len(evaluate_request(sys3, eq, req, ctx).values) == 2
+
+
+@pytest.mark.parametrize("t", ["1/2", "1", "2"])
+@pytest.mark.parametrize("coeffs", [QUAD, QUARTIC, SEXTIC],
+                         ids=["quad", "quartic", "sextic"])
+def test_closed_ell_and_psi_match_series(coeffs, t):
+    # ell = Re(C + C~) and psi = Im Pol(I_+) / (pi t) against the
+    # Fourier series' ell_at and Chebyshev sum
+    digits = 48
+    eq = build_equilibrium(Potential(coeffs), t,
+                           PrecisionContext.for_digits(digits))
+    eng = eq._engine
+    with mp.workdps(digits + 10):
+        bound = mpf(10) ** -55
+        assert abs(eq.ell - eng.series.ell_at(eng.mid)) < bound
+        for f in ("0.02", "0.1", "0.3", "0.5", "0.7", "0.9", "0.98"):
+            x = eq.a + (eq.b - eq.a) * mpf(f)
+            assert abs(eng.psi(x) - eng.series.psi(x)) < bound, f
+
+
+@pytest.mark.parametrize("coeffs", [QUAD, QUARTIC, SEXTIC],
+                         ids=["quad", "quartic", "sextic"])
+def test_seeds_hold_next_to_edges_and_far_out(coeffs):
+    # the double-precision seeds, the edge model that replaces them next
+    # to an edge, and the far field where s_in - 1/2 underflows a float
+    digits = 48
+    eq = build_equilibrium(Potential(coeffs), 1,
+                           PrecisionContext.for_digits(digits))
+    eng = eq._engine
+    with mp.workdps(digits + 10):
+        a, b, rad = eq.a, eq.b, eng.rad
+        inside = []
+        for k in (2, 6, 12, 30):
+            gap = mpf(10) ** -k * rad
+            inside += [a + gap, b - gap]
+            # I_+ next to an edge resolves only to about eps / J', and J'
+            # falls like sqrt(gap)
+            bound = mpf(10) ** -(digits + 8) * sqrt(rad / gap)
+            for x in (a + gap, b - gap):
+                assert abs(eng.psi(x) - eng.series.psi(x)) < bound, (k, x)
+        cplx = [mpc(x, "3.1") for x in (a - 2, eng.mid, b + 1)]
+        for z in inside + [b + 60, a - 60] + cplx + [conj(z) for z in cplx]:
+            with mp.workdps(digits + 30):
+                ref = _node_sum_F(eng, z)
+            got = eng.F(z)
+            assert abs(got - ref) < mpf(10) ** -digits * (1 + abs(ref)), z
+
+
+def test_newton_steps_from_float_seeds(monkeypatch):
+    # mpmath Newton evaluations (float ones not counted): from 16 digits,
+    # 48 take three; F outside [a, b] solves for two real roots
+    counts = [0]
+    newton = equilibrium.newton
+
+    def counted(step, z, tol):
+        def wrapped(w):
+            counts[-1] += isinstance(w, (mp.mpf, mp.mpc))
+            return step(w)
+        return newton(wrapped, z, tol)
+
+    monkeypatch.setattr(equilibrium, "newton", counted)
+    digits = 48
+    for coeffs in (QUAD, QUARTIC, SEXTIC):
+        eq = build_equilibrium(Potential(coeffs), 1,
+                               PrecisionContext.for_digits(digits))
+        eng = eq._engine
+        with mp.workdps(digits + 10):
+            a, b = eq.a, eq.b
+            for f in range(1, 20):
+                counts.append(0)
+                eng.iplus(a + (b - a) * mpf(f) / 20)
+                assert counts[-1] <= 3, (coeffs, f)
+            for k in range(1, 9):
+                for z in (b + k * mpf("0.1"), a - k * mpf("0.1")):
+                    counts.append(0)
+                    eng.F(z)
+                    assert counts[-1] <= 6, (coeffs, z)
+
+
 # --- engine sizing ----------------------------------------------------------
 
 @pytest.mark.parametrize("coeffs", [QUAD, QUARTIC], ids=["quad", "quartic"])
@@ -438,28 +543,30 @@ def test_sized_engine_matches_unsized(coeffs, digits, monkeypatch):
     eq = build_equilibrium(Potential(coeffs), 1, ctx)
     eng = eq._engine
     old_nodes = max(96, 4 * digits)
-    assert eng.N < old_nodes
-    # the unsized engine: one level at the old fixed node count
+    assert eng.series.N < old_nodes
+    # the unsized series: one level at the old fixed node count
     monkeypatch.setattr(equilibrium, "_PILOT_NODES", old_nodes)
     with mp.workdps(digits + 10):
         old = equilibrium._SigmaSeries(eng.V, eq.t, eq.c1, eq.c0, eq.P, eq.Q,
                                        digits)
-        assert old.N == old_nodes
+        assert old.series.N == old_nodes
         tol = mpf(10) ** -digits
         inside = (eng.mid - eng.rad / 3, eng.mid + eng.rad / 2)
         for z in inside + (eq.b + mpf("0.05"), eq.a - mpf("0.1")):
             assert abs(_node_sum_F(eng, z) - _node_sum_F(old, z)) < tol
         for x in inside:
-            assert abs(eng.psi(x) - old.psi(x)) < tol
-        for name in ("ell", "mass", "alpha", "beta"):
-            assert abs(getattr(eng, name) - getattr(old, name)) < tol, name
-        assert eng.tail < mpf(10) ** -digits
+            assert abs(eng.series.psi(x) - old.series.psi(x)) < tol
+            assert abs(eng.series.ell_at(x) - old.series.ell_at(x)) < tol
+        assert abs(eng.mass - old.mass) < tol
+        assert eng.series.tail < mpf(10) ** -digits
 
 
 def test_engine_node_cap_raises(quad, monkeypatch):
+    # the cap binds where the series is built: at the first mass read
     monkeypatch.setattr(equilibrium, "_max_nodes", lambda digits: 40)
+    eq = build_equilibrium(quad, 1, PrecisionContext.for_digits(36))
     with pytest.raises(NonConvergent, match="Fourier engine"):
-        build_equilibrium(quad, 1, PrecisionContext.for_digits(36))
+        eq._engine.mass
 
 
 # --- reflection -------------------------------------------------------------
@@ -476,15 +583,23 @@ def test_reflect_potential_quartic(quartic):
 
 # --- cache ------------------------------------------------------------------
 
-_SERIES = ("Ak", "Bk", "hc", "psi_v")
+def _closed_forms(eq):
+    # F and F' outside and inside the support, psi and ell: every value a
+    # warm build must reproduce to the bit
+    eng = eq._engine
+    with mp.workdps(eq.digits + 10):
+        points = (eq.b + mpf("0.3"), eq.a - mpf("0.2"), eng.mid + eng.rad / 3)
+        return ([eng.F(z) for z in points], [eng.F_prime(z) for z in points],
+                eng.psi(points[2]), eq.ell)
 
 
 def test_cache_round_trip(eq_unit, quad, ctx96, tmp_path):
     save_equilibrium(eq_unit, quad, str(tmp_path))
+    entry, = tmp_path.glob("eq_*.json")
+    assert set(json.loads(entry.read_text())) == {
+        "version", "digits", "t", "c0", "c1"}
     back = load_equilibrium(quad, 1, ctx96, str(tmp_path))
-    eng = eq_unit._engine
-    assert back == (eq_unit.c1, eq_unit.c0,
-                    {k: getattr(eng, k) for k in _SERIES})
+    assert back == (eq_unit.c1, eq_unit.c0)
 
 
 def test_cache_keys_on_digits_and_t(eq_unit, quad, ctx96, ctx64, tmp_path):
@@ -500,40 +615,26 @@ def test_warm_build_matches(tmp_path):
         cache = str(tmp_path / str(i))
         first = build_equilibrium(V, "1/2", ctx, cache_dir=cache)
         again = build_equilibrium(V, "1/2", ctx, cache_dir=cache)
-        # a hit restores the engine's series and derives the rest from
-        # it, to the last bit
+        # a hit reads (c1, c0) back to the bit and derives the rest from
+        # them as a cold build does
         assert again == first
         assert (first.cache, again.cache) == ("miss", "hit")
-        for k in _SERIES + ("gam", "Gw", "gx", "mass", "ell", "N", "tail"):
-            assert getattr(again._engine, k) == getattr(first._engine, k), \
-                (coeffs, digits, k)
-        # the entry holds the solve and the engine's series
+        assert _closed_forms(again) == _closed_forms(first), (coeffs, digits)
+        # the entry holds the solve alone
         entry, = (tmp_path / str(i)).glob("eq_*.json")
         assert set(json.loads(entry.read_text())) == {
-            "version", "digits", "t", "c0", "c1", "N"} | set(_SERIES)
+            "version", "digits", "t", "c0", "c1"}
 
 
-def _nudged(v):
-    # the decimal string v raised by a relative 10^-60
-    with mp.workdps(130):
-        return mp.nstr(mpf(v) * (1 + mpf(10) ** -60), 120)
-
-
-@pytest.mark.parametrize("key, edit", [
-    # a tail that never settled fails the chop test at 10^-101, though
-    # J(sigma) misses x by less than the spot check's 10^-96
-    ("Ak", lambda a: a[:-1] + ["1e-99"]),
-    # sigma shifted: J(sigma) misses x at the checked node
-    ("Ak", lambda a: a[:1] + [_nudged(a[1])] + a[2:]),
-    # psi_v off the density's series
-    ("psi_v", lambda a: [_nudged(v) for v in a]),
-], ids=["Ak_tail", "Ak_low", "psi_v"])
-def test_restore_spot_check_raises(eq_unit, quad, ctx96, tmp_path, key,
-                                   edit):
+@pytest.mark.parametrize("key", ["c1", "c0"])
+def test_cache_hit_check_raises(eq_unit, quad, ctx96, tmp_path, key):
+    # a coefficient nudged by 10^-(digits/2) fails the coefficient
+    # conditions, which a hit checks to newton_tol = 10^-(digits - 12)
     save_equilibrium(eq_unit, quad, str(tmp_path))
     entry, = tmp_path.glob("eq_*.json")
     doc = json.loads(entry.read_text())
-    doc[key] = edit(doc[key])
+    with mp.workdps(130):
+        doc[key] = mp.nstr(mpf(doc[key]) + mpf(10) ** -48, 120)
     entry.write_text(json.dumps(doc))
-    with pytest.raises(NonConvergent, match="cached Fourier series"):
+    with pytest.raises(NonConvergent, match="cached coefficients"):
         build_equilibrium(quad, 1, ctx96, cache_dir=str(tmp_path))
