@@ -167,6 +167,14 @@ def _fmt(x):
     return mp.nstr(x, 24)
 
 
+def _magnitude(r):
+    # the residual of an exact identity is rounding noise whose digits
+    # move with the last bits of its inputs: print 10^ceil(log10|r|)
+    if r == 0:
+        return "0"
+    return "1e%d" % int(mp.ceil(mp.log10(abs(r))))
+
+
 class ReportWriter:
     """Serialized CSV writer; every row gets the config hash appended."""
 
@@ -382,8 +390,7 @@ def cmd_diagnostics(cfg):
             alpha_m1 = diag.alpha_limits[-1]
             a_dev = abs(a_top - alpha_m1)
             writer.row((str(n), str(ctx.digits),
-                        # an exact identity's residual: magnitude, not noise
-                        mp.nstr(dec.identity_residual, 3),
+                        _magnitude(dec.identity_residual),
                         _fmt(abs(dec.conj_J1)), _fmt(abs(dec.conj_J2)),
                         _fmt(abs(dec.conj_main_term)),
                         _fmt(split.conjugated[0]), _fmt(split.conjugated[1]),
@@ -435,14 +442,14 @@ def cmd_verify(cfg):
             c1, c0 = solve_coefficients(quad, t, ctx)
             dev = max(abs(c1 - mpf(t)), abs(c0 - mpf(t) / 2))
             check("quadratic coefficients t=%s" % t, dev < mpf("1e-20"),
-                  "dev %.1e" % float(dev))
+                  "dev %s" % mp.nstr(dev, 2))
         eq = build_equilibrium(quad, 1, ctx)
         eng = _require_engine(eq)
         check("density mass = 1", abs(eng.mass - 1) < mpf("1e-20"),
-              "dev %.1e" % float(abs(eng.mass - 1)))
+              "dev %s" % mp.nstr(abs(eng.mass - 1), 2))
         res = determinant_identity_residual(eq)
         check("determinant identity", abs(res) < mpf(10) ** (-ctx.digits // 2),
-              "residual %.1e" % float(abs(res)))
+              "residual %s" % mp.nstr(abs(res), 2))
         n0 = 4
         sctx = PrecisionContext.for_digits(max(64, 12 * n0))
         sys0 = construct(pot, n0, n0 + 1, sctx)
@@ -450,11 +457,11 @@ def cmd_verify(cfg):
             lambda x: (kernelmod.kernel_raw(sys0, x, x),),
             sys0.support_window, sctx)
         check("kernel trace = n at n=4", abs(tr - n0) < mpf("1e-10"),
-              "dev %.1e" % float(abs(tr - n0)))
+              "dev %s" % mp.nstr(abs(tr - n0), 2))
         ai = kernelmod.airy_kernel_integral(0, 1, 12, ctx)
         ak = kernelmod.airy_kernel(0, 1, ctx)
         check("Airy overlap identity", abs(ai - ak) < mpf("1e-8") * abs(ak),
-              "dev %.1e" % float(abs(ai - ak)))
+              "dev %s" % mp.nstr(abs(ai - ak), 2))
         for k in (20, 40):
             worst = mpf(0)
             for j in range(-10, 11):
@@ -462,7 +469,7 @@ def cmd_verify(cfg):
                 worst = max(worst, abs(mp.exp(z) - kernelmod.exp_trunc(z, k)))
             bound = mpf("1e12") * mp.exp(-mpf(k) / 2 * mp.log(k))
             check("exp truncation k=%d" % k, worst < bound,
-                  "worst %.1e bound %.1e" % (float(worst), float(bound)))
+                  "worst %s bound %s" % (mp.nstr(worst, 2), mp.nstr(bound, 2)))
     ok = all(c[1] for c in checks)
     summary = {"config_hash": config_hash(cfg),
                "checks": [{"name": c[0], "pass": c[1], "detail": c[2]}

@@ -17,12 +17,12 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, acos, expm1, pi,
-                    conj, im, re, ceil)
+from mpmath import (mp, mpf, mpc, sqrt, log, exp, cos, sin, expm1, pi, conj,
+                    im, re, ceil)
 
 from .mpnum import (RealInterval, NonConvergent, PrecisionContext, _horner,
-                    newton, integrate_tanh_sinh, num_to_str, str_to_num,
-                    cache_key, save_json, load_json)
+                    newton, integrate_trapezoid, integrate_tanh_sinh,
+                    num_to_str, str_to_num, cache_key, save_json, load_json)
 
 
 class OnBranchCut(Exception):
@@ -460,9 +460,10 @@ class _SigmaSeries:
     carry digits + 10 digits, so a tighter tolerance buys nothing, and
     next to an edge, where J' vanishes, it is never met.
 
-    The Fourier series of sigma(theta) = I_+(mid + rad cos(theta)), which
-    the integrals over the measure need (the mass, mu_int, ell_at), is
-    built on first use (series).
+    Every integral over the measure, the mass included, is one trapezoid
+    in theta over the closed psi (integrate).  The name is historical: the
+    engine once held the Fourier series of sigma(theta) = I_+(mid + rad
+    cos(theta)), which psi in closed form made redundant.
     """
 
     def __init__(self, V, t, c1, c0, P, Q, digits):
@@ -489,15 +490,30 @@ class _SigmaSeries:
         self.ell = self.C + self.C_tilde
         self._float = _FloatRoots(c1, c0)
 
-    @cached_property
-    def series(self):
-        # at the engine's precision, whatever its first caller runs at
-        with mp.workdps(self.digits + 10):
-            return _FourierSeries(self, self.digits)
+    def integrate(self, f, ctx):
+        """int f dmu for a vector-valued f: the trapezoid (mpnum) in theta
+        on [0, pi] over rad sin(theta) psi(x) f(x), x = mid + rad
+        cos(theta), to ctx's quad_rel_tol.
 
-    @property
+        psi vanishes like a square root at both edges, so sin(theta)
+        psi(x) is sin(theta)^2 times a function analytic on the support:
+        the integrand is even, periodic and analytic in theta, and the
+        trapezoid converges geometrically (Trefethen & Weideman, SIAM Rev.
+        56 (2014) 385-458).  Raises NonConvergent when it does not settle.
+        """
+        def weighted(th):
+            x = self.mid + self.rad * cos(th)
+            w = self.rad * sin(th) * self.psi(x)
+            return [w * v for v in f(x)]
+
+        with mp.workdps(ctx.digits + 10):
+            return integrate_trapezoid(weighted, RealInterval(0, pi), ctx)
+
+    @cached_property
     def mass(self):
-        return self.series.mass
+        # at the engine's precision, whatever its first caller runs at
+        return self.integrate(lambda x: (1,),
+                              PrecisionContext(self.digits))[0]
 
     def invert(self, x, s0):
         """The root of J(s) = x that Newton's iteration reaches from s0."""
@@ -687,210 +703,6 @@ class _SigmaSeries:
         return val if im(z) != 0 else re(val)
 
 
-def _clenshaw(coeffs, c2):
-    """b_1, b_2 of the recurrence b_k = coeffs[k] + c2 b_(k+1) - b_(k+2).
-
-    With c2 = 2 cos(th), sum_k coeffs[k] cos(k th) is
-    coeffs[0] + cos(th) b_1 - b_2 and sum_(k>=1) coeffs[k] sin(k th) is
-    sin(th) b_1.
-    """
-    b1 = b2 = mpf(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        b1, b2 = coeffs[k] + c2 * b1 - b2, b1
-    return b1, b2
-
-
-# The series sizes its node count N from the decay of its own coefficients
-# (Chebyshev chopping, Aurentz & Trefethen, ACM TOMS 43 (2017) 33).  Each
-# level solves sigma at N nodes, seeded from the previous level's series,
-# and grows N until every Fourier coefficient of sigma at index >= 4N/5 is
-# below 10^-(digits + _CHOP_GUARD) of the largest; then the density's
-# Chebyshev coefficients, from its closed form at the nodes, must pass the
-# same test at 10^-digits.  The guard sits above the working precision's
-# rounding floor, about 10^-(digits + 10).
-_PILOT_NODES = 32
-_CHOP_GUARD = 5
-
-
-def _max_nodes(digits):
-    # the fixed node count of the unsized series; no build exceeds it
-    return max(96, 4 * digits)
-
-
-def _chop(coeffs, tol):
-    """(tail, next) for a coefficient list on N nodes.
-
-    tail is the largest |c_k| at k >= 4N/5.  next is None when tail is at
-    most tol times the largest |c_k|; otherwise it is the node count at
-    which the geometric decay seen from 2N/5 on would bring the tail
-    there, and at least N + 4 (2N when no decay shows).
-    """
-    N = len(coeffs)
-    K = -(-4 * N // 5)
-    mag = [abs(c) for c in coeffs]
-    tail = max(mag[K:])
-    goal = tol * max(mag)
-    if tail <= goal:
-        return tail, None
-    # the envelope's decay rate between its peaks past K/2 and past K,
-    # shaded by a tenth: the early coefficients of these series fall
-    # faster than the late ones, so the plain rate undershoots
-    i = max(range(K // 2, N), key=mag.__getitem__)
-    j = max(range(K, N), key=mag.__getitem__)
-    if j <= i:
-        return tail, 2 * N
-    rate = 0.9 * float(log(mag[i] / tail)) / (j - i)
-    reach = j + float(log(tail / goal)) / rate
-    return tail, max(N + 4, int(1.25 * reach) + 2)
-
-
-class _FourierSeries:
-    """Fourier representation of the upper inverse branch on the support.
-
-    sigma(theta) = I_+(mid + rad*cos(theta)) is analytic and periodic on the
-    torus, so the integrals over the measure (the mass, the moments gam,
-    mu_int, ell_at) become rapidly convergent trigonometric series.  The
-    series is sigma's Fourier coefficients Ak, Bk on N nodes, the density
-    psi_v at those nodes (the engine's closed form) and its Chebyshev
-    coefficients hc; every other array derives from these (_measure).
-
-    sigma is solved at N nodes sized by _chop from _PILOT_NODES up; the
-    certified tail of its coefficients is tail.  Raises NonConvergent
-    when the series needs more than _max_nodes(digits) nodes.
-    """
-
-    def __init__(self, eng, digits):
-        self.eng = eng
-        cap = _max_nodes(digits)
-        N = min(_PILOT_NODES, cap)
-        self.Ak = self.Bk = None
-        while True:
-            ct, st, sig = self._fourier(N)
-            grow = self._sigma_grow(digits)
-            if grow is None:
-                self._density(sig, ct, st)
-                grow = _chop(self.hc, mpf(10) ** -digits)[1]
-                if grow is None:
-                    break
-            if N >= cap:
-                raise NonConvergent("Fourier engine needs more than %d "
-                                    "nodes" % cap)
-            N = min(grow, cap)
-        self._measure(ct[1:2 * N:2], st[1:2 * N:2])
-
-    def _sigma_grow(self, digits):
-        """The node count _chop asks of sigma's series, None once it has
-        settled; sets tail."""
-        self.tail, grow = _chop(
-            [max(abs(u), abs(v)) for u, v in zip(self.Ak, self.Bk)],
-            mpf(10) ** -(digits + _CHOP_GUARD))
-        return grow
-
-    def _fourier(self, N):
-        """sigma at N nodes and its coefficients Ak, Bk; returns the
-        cos and sin tables of the lattice and sigma at the nodes."""
-        eng = self.eng
-        self.N = N
-        # the nodes are th[i] = (2i+1) pi/(2N) and phi[j] = (2(j-N)+1) pi/(2N),
-        # so every angle in the sums below is a multiple of pi/(2N): k*th[i]
-        # is (2i+1)k of them, (phi[j] - th[i])/2 is j-N-i, and one table of
-        # cos and sin on that lattice replaces the trigonometric calls
-        M4 = 4 * N
-        ct = [cos(j * pi / (2 * N)) for j in range(M4)]
-        st = [sin(j * pi / (2 * N)) for j in range(M4)]
-        sig = []
-        for i in range(N):
-            x = eng.mid + eng.rad * ct[2 * i + 1]
-            if self.Ak is None:
-                s = eng.iplus(x)
-            else:
-                # the previous level's series is close to the root
-                s = eng.invert(x, self.sigma((2 * i + 1) * pi / (2 * N)))
-                if im(s) < 0:
-                    s = conj(s)
-            sig.append(s)
-        sig_re = [re(v) for v in sig]
-        sig_im = [im(v) for v in sig]
-        self.Ak = []
-        self.Bk = [mpf(0)]
-        for k in range(N):
-            sa = mp.fdot(sig_re, [ct[(2 * i + 1) * k % M4] for i in range(N)])
-            self.Ak.append(sa * (1 if k == 0 else 2) / N)
-        for k in range(1, N):
-            sb_ = mp.fdot(sig_im, [st[(2 * i + 1) * k % M4] for i in range(N)])
-            self.Bk.append(sb_ * 2 / N)
-        return ct, st, sig
-
-    def _density(self, sig, ct, st):
-        """psi at the nodes, Im Pol(sigma) / (pi t) (_SigmaSeries.psi),
-        then its Chebyshev coefficients hc."""
-        eng = self.eng
-        N, M4 = self.N, 4 * self.N
-        self.psi_v = [im(_pol_at(eng.pol, s)) / (pi * eng.t) for s in sig]
-        # Chebyshev coefficients of psi/(rad sin)
-        hval = [self.psi_v[i] / (eng.rad * st[2 * i + 1])
-                for i in range(N)]
-        self.hc = []
-        for k in range(N):
-            sa = mp.fdot(hval, [ct[(2 * i + 1) * k % M4] for i in range(N)])
-            self.hc.append(sa * (1 if k == 0 else 2) / N)
-
-    def _measure(self, cn, sn):
-        """From hc and psi_v, with cn, sn the cos and sin at the nodes: the
-        moments gam, the mass and the quadrature weights Gw at the nodes
-        gx."""
-        N, mid, rad = self.N, self.eng.mid, self.eng.rad
-        g = [mpf(0)] * (N + 2)
-        for k in range(N):
-            g[k] += self.hc[k] / 2
-            g[k + 2] -= self.hc[k] / 4
-            g[abs(k - 2)] -= self.hc[k] / 4
-        self.gam = [rad * rad * v for v in g]
-        self.mass = self.gam[0] * pi
-        self.Gw = [self.psi_v[i] * rad * sn[i] for i in range(N)]
-        self.gx = [mid + rad * cn[i] for i in range(N)]
-
-    def theta_of(self, x):
-        c = (x - self.eng.mid) / self.eng.rad
-        c = max(mpf(-1), min(mpf(1), c))
-        return acos(c)
-
-    def sigma(self, th):
-        # the cosine and the sine series by Clenshaw: two trigonometric
-        # calls in all instead of one per coefficient
-        c = cos(th)
-        a1, a2 = _clenshaw(self.Ak, 2 * c)
-        b1, _ = _clenshaw(self.Bk, 2 * c)
-        return mpc(self.Ak[0] + c * a1 - a2, b1 * sin(th))
-
-    def psi(self, x):
-        """The density by the Chebyshev series hc."""
-        th = self.theta_of(x)
-        c = cos(th)
-        b1, b2 = _clenshaw(self.hc, 2 * c)
-        return (self.hc[0] + c * b1 - b2) * self.eng.rad * sin(th)
-
-    def log_abs_moment(self, y):
-        # int log|y - x| dmu for y inside the support, by the series
-        phv = self.theta_of(y)
-        s = log(self.eng.rad / 2) * self.gam[0] * pi
-        for k in range(1, len(self.gam)):
-            s -= (self.gam[k] / k) * cos(k * phv) * pi
-        return s
-
-    def mu_int(self, f):
-        tot = mpf(0)
-        for i in range(self.N):
-            tot += f(self.gx[i]) * self.Gw[i]
-        return tot * pi / self.N
-
-    def ell_at(self, y):
-        eng = self.eng
-        f1 = self.log_abs_moment(y)
-        f2 = self.mu_int(lambda x: x + log(_phi_ratio(y - x)))
-        return 2 * f1 + f2 - eng.V.V(y) / eng.t
-
-
 def _bracketed(J, dJ, x, lo, hi, rising, s, tol):
     """The real root of J(s) = x on (lo, hi), where J rises (rising) or
     falls, by Newton from s; a step that leaves the bracket, which every
@@ -923,8 +735,9 @@ def build_equilibrium(V, t, ctx, cache_dir=None):
     """Solve the full equilibrium problem, returning EquilibriumData.
 
     Beyond the coefficient solve (c1, c0), everything is a closed form
-    (see _SigmaSeries): the engine builds its Fourier series only when an
-    integral over the measure is asked for.  The cache entry holds
+    (see _SigmaSeries), and an integral over the measure is a trapezoid
+    over the closed density, taken only when asked for (the mass,
+    lagrange_constant).  The cache entry holds
     (c1, c0): a hit skips the solve after checking that the entry still
     meets both coefficient conditions to newton_tol, or raises
     NonConvergent, and gives the same bits as a cold build.
@@ -970,13 +783,13 @@ class DensityTable:
 
 def build_density_table(eq, ctx):
     """Density on a 512-node Chebyshev grid of the support, by the
-    engine's Fourier series, plus its own mass check."""
+    engine's closed form psi, plus its own mass check."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         N = 512
         th = [(i + mpf('0.5')) * pi / N for i in range(N)]
         nodes = [eng.mid + eng.rad * cos(t_) for t_ in th]
-        values = [eng.series.psi(x) for x in nodes]
+        values = [eng.psi(x) for x in nodes]
         mass = sum(v * eng.rad * sin(t_)
                    for v, t_ in zip(values, th)) * pi / N
         floor = -10 * mpf(ctx.quad_rel_tol)
@@ -1107,14 +920,51 @@ def F_function(eq, z, ctx):
         return +(val.real if im(z) == 0 else val)
 
 
+def _ell_at(eq, probes, ctx):
+    """The variational constant 2 int log|y - x| dmu + int (x + log
+    phi(y - x)) dmu - V(y)/t at each probe y in (a, b), from one integral
+    over the measure (_SigmaSeries.integrate).
+
+    With x = mid + rad c, log|y - x| = log(rad/2) - 2 sum_(k>=1) T_k(c)
+    T_k(c_y)/k, so the log potential is a sum over the Chebyshev moments
+    m_k = int T_k(c) dmu, k <= K = 2 digits.  They fall geometrically;
+    raises NonConvergent unless m_K and m_(K-1) are below 10^-digits m_0.
+    The smooth part takes one component per probe.
+    """
+    eng = _require_engine(eq)
+    K = 2 * ctx.digits
+
+    def cheb(c):
+        T = [mpf(1), c]
+        for _ in range(K - 1):
+            T.append(2 * c * T[-1] - T[-2])
+        return T
+
+    with mp.workdps(ctx.digits + 10):
+        vals = eng.integrate(
+            lambda x: cheb((x - eng.mid) / eng.rad)
+            + [x + log(_phi_ratio(y - x)) for y in probes], ctx)
+        m = vals[:K + 1]
+        if max(abs(m[K]), abs(m[K - 1])) >= mpf(10) ** -ctx.digits * m[0]:
+            raise NonConvergent("Chebyshev moments of the measure still "
+                                "above 10^-%d at degree %d" % (ctx.digits, K))
+        ells = []
+        for y, smooth in zip(probes, vals[K + 1:]):
+            T = cheb((y - eng.mid) / eng.rad)
+            log_pot = log(eng.rad / 2) * m[0] - 2 * sum(
+                m[k] * T[k] / k for k in range(1, K + 1))
+            ells.append(2 * log_pot + smooth - eng.V.V(y) / eng.t)
+        return ells
+
+
 def lagrange_constant(eq, ctx):
-    """The variational constant by the engine's Fourier series, evaluated
-    at the midpoint and verified to be flat across the support."""
+    """The variational constant by integrals over the measure (_ell_at),
+    evaluated at the midpoint and verified to be flat across the support."""
     eng = _require_engine(eq)
     with mp.workdps(ctx.digits + 10):
         y0 = (eq.a + eq.b) / 2
         probes = [y0, y0 - mpf('0.37') * eng.rad, y0 + mpf('0.41') * eng.rad]
-        vals = [eng.series.ell_at(y) for y in probes]
+        vals = _ell_at(eq, probes, ctx)
         spread = max(vals) - min(vals)
         if spread > mpf(10) ** (-ctx.digits // 4):
             raise VariationalViolation(

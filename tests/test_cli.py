@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -434,14 +435,24 @@ def test_diagnostics_command(tmp_path):
     assert rows[0][:3] == ["n", "digits", "identity_residual"]
     with mp.workdps(60):
         assert mpf(rows[1][2]) < mpf(10) ** -12
-    # the residual is printed to 3 significant digits
-    assert len(rows[1][2].split("e")[0].replace(".", "").lstrip("0")) <= 3
+    # the residual is printed as its order of magnitude
+    assert re.fullmatch(r"0|1e-?[0-9]+", rows[1][2]), rows[1][2]
     arows = _read_csv(out / "alpha_limits.csv")
     assert arows[0][:2] == ["l", "alpha_l"]
     assert [r[0] for r in arows[1:]] == ["-1", "0", "1", "2", "3", "4"]
     _assert_figure(out, "diagnostics.png", "diagnostics_summary.json")
     meta = json.loads((out / "diagnostics_summary.json").read_text())["per_n"]
     assert meta["6"]["equilibrium_cache"] == "off"
+
+
+def test_identity_residual_prints_its_magnitude():
+    # 10^ceil(log10|r|): residuals that differ only in rounding noise, as
+    # 1.37e-47 and 2.46e-47 at n = 3 on V = x^2/2, print alike
+    with mp.workdps(60):
+        assert cli._magnitude(mpf("1.37e-47")) == "1e-46"
+        assert cli._magnitude(mpf("-2.46e-47")) == "1e-46"
+        assert cli._magnitude(mpf("7e-400")) == "1e-399"
+        assert cli._magnitude(mpf(0)) == "0"
 
 
 def test_diagnostics_command_small_m_window(tmp_path):

@@ -345,26 +345,27 @@ def test_g_functions_asymptotics(eq_unit, ctx96):
 
 # --- F, F', g and g~ in closed form ------------------------------------------
 
-def _node_sum_F(eng, z):
-    """F = (t/2) int [x + log((e^(z-x) - 1)/(z - x))] dmu as the engine's
-    N-node sum: the integrand is analytic within 2 pi of the support, so
-    the sum is spectrally accurate at every z of the strip."""
-    return eng.t / 2 * eng.series.mu_int(
-        lambda x: x + log(equilibrium._phi_ratio(z - x)))
-
-
-def _node_sum_F_prime(eng, z):
-    # the sum's derivative: d/dw log((e^w - 1)/w) = 1/(1 - e^-w) - 1/w.
-    # Its cancellation costs log10(1/|w|) digits, which the extra
-    # precision of the caller covers down to |w| = 10^-20; below, where a
-    # node meets the test point (an odd N puts one at the midpoint), the
-    # series 1/2 + w/12 - w^3/720 takes over
+def _node_sums(eng, points, digits):
+    """(F, F') at each point as integrals over the measure, in one call of
+    the engine's trapezoid: F = (t/2) int [x + log((e^(z-x) - 1)/(z -
+    x))] dmu, and F' its derivative in z.  The integrands are analytic
+    within 2 pi of the support, so the trapezoid is spectrally accurate at
+    every z of the strip; it runs 20 digits above the engine."""
+    # d/dw log((e^w - 1)/w) = 1/(1 - e^-w) - 1/w.  Its cancellation costs
+    # log10(1/|w|) digits, which the extra precision covers down to
+    # |w| = 10^-20; below, where a node meets the test point (theta =
+    # pi/2 puts one at the midpoint), the series 1/2 + w/12 takes over
     def dlog(w):
         if abs(w) < mpf(10) ** -20:
             return mpf(1) / 2 + w / 12
         return -1 / expm1(-w) - 1 / w
 
-    return eng.t / 2 * eng.series.mu_int(lambda x: dlog(z - x))
+    vals = eng.integrate(
+        lambda x: [x + log(equilibrium._phi_ratio(z - x)) for z in points]
+        + [dlog(z - x) for z in points],
+        PrecisionContext.for_digits(digits + 20))
+    vals = [eng.t / 2 * v for v in vals]
+    return vals[:len(points)], vals[len(points):]
 
 
 @pytest.mark.parametrize("t", ["1/2", "1", "2"])
@@ -383,13 +384,12 @@ def test_closed_F_matches_node_sum(coeffs, t):
                 (a + b) / 2)
         cplx = (mpc((a + b) / 2, "0.7"), mpc(b + mpf("0.3"), "-1.2"),
                 mpc(a - 1, "2.5"), mpc(b, "0.4"), mpc(b + tiny, 1))
-        for z in real + cplx:
+        refs, refs_p = _node_sums(eng, real + cplx, digits)
+        for z, ref, ref_p in zip(real + cplx, refs, refs_p):
             with mp.workdps(digits + 10):
                 got, got_p = eng.F(z), eng.F_prime(z)
             assert isinstance(got, mpc) == (z in cplx)
-            ref = _node_sum_F(eng, z)
             assert abs(got - ref) < mpf(10) ** -digits * (1 + abs(ref)), z
-            ref_p = _node_sum_F_prime(eng, z)
             assert abs(got_p - ref_p) < mpf(10) ** -digits * (1 + abs(ref_p)), z
 
 
@@ -438,15 +438,15 @@ def test_f_function_strip(eq_unit, ctx96):
         F_function(eq_unit, mpc(0, "3.2"), ctx96)
 
 
-# --- closed forms without the Fourier series ----------------------------------
+# --- closed forms without an integral over the measure -----------------------
 
 def test_cold_build_and_kernel_never_build_the_series(quartic, monkeypatch):
     # a cold build and the kernel's bulk, edge and raw requests need
-    # nothing but the closed forms
-    def refuse(eng, digits):
-        raise AssertionError("the Fourier series was built")
+    # nothing but the closed forms: no integral over the measure
+    def refuse(eng, f, ctx):
+        raise AssertionError("an integral over the measure was taken")
 
-    monkeypatch.setattr(equilibrium, "_FourierSeries", refuse)
+    monkeypatch.setattr(equilibrium._SigmaSeries, "integrate", refuse)
     ctx = PrecisionContext.for_digits(36)
     eq = build_equilibrium(quartic, 1, ctx)
     sys3 = construct(quartic, 3, 4, ctx)
@@ -461,18 +461,15 @@ def test_cold_build_and_kernel_never_build_the_series(quartic, monkeypatch):
 @pytest.mark.parametrize("coeffs", [QUAD, QUARTIC, SEXTIC],
                          ids=["quad", "quartic", "sextic"])
 def test_closed_ell_and_psi_match_series(coeffs, t):
-    # ell = Re(C + C~) and psi = Im Pol(I_+) / (pi t) against the
-    # Fourier series' ell_at and Chebyshev sum
+    # ell = Re(C + C~) against lagrange_constant, which integrates the
+    # log potential over the closed psi by its Chebyshev moments; psi
+    # itself is checked against density() in test_density_dual_route
     digits = 48
-    eq = build_equilibrium(Potential(coeffs), t,
-                           PrecisionContext.for_digits(digits))
-    eng = eq._engine
+    ctx = PrecisionContext.for_digits(digits)
+    eq = build_equilibrium(Potential(coeffs), t, ctx)
+    ell = lagrange_constant(eq, ctx)
     with mp.workdps(digits + 10):
-        bound = mpf(10) ** -55
-        assert abs(eq.ell - eng.series.ell_at(eng.mid)) < bound
-        for f in ("0.02", "0.1", "0.3", "0.5", "0.7", "0.9", "0.98"):
-            x = eq.a + (eq.b - eq.a) * mpf(f)
-            assert abs(eng.psi(x) - eng.series.psi(x)) < bound, f
+        assert abs(eq.ell - ell) < mpf(10) ** -55
 
 
 @pytest.mark.parametrize("coeffs", [QUAD, QUARTIC, SEXTIC],
@@ -484,6 +481,9 @@ def test_seeds_hold_next_to_edges_and_far_out(coeffs):
     eq = build_equilibrium(Potential(coeffs), 1,
                            PrecisionContext.for_digits(digits))
     eng = eq._engine
+    # the same field's engine 20 digits up: the reference psi
+    fine = build_equilibrium(Potential(coeffs), 1, PrecisionContext.for_digits(
+        digits + 20))._engine
     with mp.workdps(digits + 10):
         a, b, rad = eq.a, eq.b, eng.rad
         inside = []
@@ -494,11 +494,13 @@ def test_seeds_hold_next_to_edges_and_far_out(coeffs):
             # falls like sqrt(gap)
             bound = mpf(10) ** -(digits + 8) * sqrt(rad / gap)
             for x in (a + gap, b - gap):
-                assert abs(eng.psi(x) - eng.series.psi(x)) < bound, (k, x)
+                with mp.workdps(digits + 30):
+                    ref = fine.psi(x)
+                assert abs(eng.psi(x) - ref) < bound, (k, x)
         cplx = [mpc(x, "3.1") for x in (a - 2, eng.mid, b + 1)]
-        for z in inside + [b + 60, a - 60] + cplx + [conj(z) for z in cplx]:
-            with mp.workdps(digits + 30):
-                ref = _node_sum_F(eng, z)
+        points = inside + [b + 60, a - 60] + cplx + [conj(z) for z in cplx]
+        refs, _ = _node_sums(eng, points, digits)
+        for z, ref in zip(points, refs):
             got = eng.F(z)
             assert abs(got - ref) < mpf(10) ** -digits * (1 + abs(ref)), z
 
@@ -534,38 +536,27 @@ def test_newton_steps_from_float_seeds(monkeypatch):
                     assert counts[-1] <= 6, (coeffs, z)
 
 
-# --- engine sizing ----------------------------------------------------------
+# --- integrals over the measure ---------------------------------------------
 
-@pytest.mark.parametrize("coeffs", [QUAD, QUARTIC], ids=["quad", "quartic"])
-@pytest.mark.parametrize("digits", [36, 64])
-def test_sized_engine_matches_unsized(coeffs, digits, monkeypatch):
-    ctx = PrecisionContext.for_digits(digits)
-    eq = build_equilibrium(Potential(coeffs), 1, ctx)
-    eng = eq._engine
-    old_nodes = max(96, 4 * digits)
-    assert eng.series.N < old_nodes
-    # the unsized series: one level at the old fixed node count
-    monkeypatch.setattr(equilibrium, "_PILOT_NODES", old_nodes)
+@pytest.mark.parametrize("t", ["1/2", "1", "2"])
+@pytest.mark.parametrize("coeffs", [QUAD, QUARTIC, SEXTIC],
+                         ids=["quad", "quartic", "sextic"])
+def test_mass_is_one(coeffs, t):
+    # the trapezoid over the closed psi; the coefficient conditions make
+    # the mass 1
+    digits = 48
+    eq = build_equilibrium(Potential(coeffs), t,
+                           PrecisionContext.for_digits(digits))
     with mp.workdps(digits + 10):
-        old = equilibrium._SigmaSeries(eng.V, eq.t, eq.c1, eq.c0, eq.P, eq.Q,
-                                       digits)
-        assert old.series.N == old_nodes
-        tol = mpf(10) ** -digits
-        inside = (eng.mid - eng.rad / 3, eng.mid + eng.rad / 2)
-        for z in inside + (eq.b + mpf("0.05"), eq.a - mpf("0.1")):
-            assert abs(_node_sum_F(eng, z) - _node_sum_F(old, z)) < tol
-        for x in inside:
-            assert abs(eng.series.psi(x) - old.series.psi(x)) < tol
-            assert abs(eng.series.ell_at(x) - old.series.ell_at(x)) < tol
-        assert abs(eng.mass - old.mass) < tol
-        assert eng.series.tail < mpf(10) ** -digits
+        assert abs(eq._engine.mass - 1) < mpf(10) ** -(digits - 8)
 
 
 def test_engine_node_cap_raises(quad, monkeypatch):
-    # the cap binds where the series is built: at the first mass read
-    monkeypatch.setattr(equilibrium, "_max_nodes", lambda digits: 40)
-    eq = build_equilibrium(quad, 1, PrecisionContext.for_digits(36))
-    with pytest.raises(NonConvergent, match="Fourier engine"):
+    # the trapezoid's halving cap binds at the first mass read: at 48
+    # digits the mass needs two halvings from 16 intervals
+    monkeypatch.setattr(PrecisionContext, "max_panel_doublings", 1)
+    eq = build_equilibrium(quad, 1, PrecisionContext.for_digits(48))
+    with pytest.raises(NonConvergent, match="trapezoid stalled"):
         eq._engine.mass
 
 
